@@ -1,15 +1,30 @@
-"""Adam optimizer over named parameter dicts, plus checkpoint save/load."""
+"""Adam optimizer over named parameter dicts, plus checkpoint save/load.
+
+A checkpoint is one JSON object written with sorted keys (format 2)::
+
+    {"extra": {...},
+     "format": 2,
+     "params": {name: {"data": b64, "sha256": hex, "shape": [...]}, ...}}
+
+``data`` is base64 of the tensor's C-order little-endian float64 bytes
+and ``sha256`` the hex digest of those bytes, so a parameter reloads
+bit-exactly and corruption is caught. Format 1 stored ``data`` as a flat
+list of floats; it is still read, never written.
+"""
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
+import math
 import os
 
 import numpy as np
 
 from .autodiff import Tensor
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 class Adam:
@@ -58,14 +73,24 @@ class Adam:
 
 
 def save_checkpoint(path: str, params: dict[str, Tensor], extra: dict | None = None):
-    """Write parameters as JSON: name -> {shape, flat float list}. Byte-stable."""
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "params": {
-            name: {"shape": list(p.data.shape), "data": p.data.ravel().tolist()}
-            for name, p in params.items()
-        },
-    }
+    """Write parameters as one sorted-key JSON object in format 2.
+
+    The file is ``{"format": 2, "params": {...}, "extra": {...}}``; each
+    ``params`` entry is ``{"shape": [...], "sha256": hex, "data": b64}``,
+    where ``data`` is base64 of the tensor's C-order little-endian float64
+    bytes and ``sha256`` the hex digest of those bytes. ``extra`` is
+    omitted when empty. Exact and byte-stable; written to ``path + ".tmp"``
+    and then renamed over ``path``.
+    """
+    entries = {}
+    for name, p in params.items():
+        raw = np.asarray(p.data, dtype="<f8").tobytes(order="C")
+        entries[name] = {
+            "shape": list(p.data.shape),
+            "sha256": hashlib.sha256(raw).hexdigest(),
+            "data": base64.b64encode(raw).decode("ascii"),
+        }
+    payload = {"format": CHECKPOINT_FORMAT, "params": entries}
     if extra:
         payload["extra"] = extra
     tmp = path + ".tmp"
@@ -75,18 +100,82 @@ def save_checkpoint(path: str, params: dict[str, Tensor], extra: dict | None = N
     os.replace(tmp, path)
 
 
+def _field(entry: dict, key: str, kind: type, name: str):
+    value = entry.get(key)
+    if not isinstance(value, kind):
+        raise ValueError(f"parameter {name!r}: {key!r} must be a {kind.__name__}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _shape(entry: dict, name: str) -> tuple[int, ...]:
+    shape = _field(entry, "shape", list, name)
+    if not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"parameter {name!r}: shape {shape} is not a list of sizes")
+    return tuple(shape)
+
+
+def _decode_v1(entry: dict, name: str) -> np.ndarray:
+    shape = _shape(entry, name)
+    data = _field(entry, "data", list, name)
+    try:
+        flat = np.array(data, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"parameter {name!r}: data is not a list of numbers") from exc
+    if flat.ndim != 1 or flat.size != math.prod(shape):
+        raise ValueError(f"parameter {name!r}: data of shape {list(flat.shape)} does not fit "
+                         f"shape {list(shape)}")
+    return flat.reshape(shape)
+
+
+def _decode_v2(entry: dict, name: str) -> np.ndarray:
+    shape = _shape(entry, name)
+    digest = _field(entry, "sha256", str, name)
+    try:
+        raw = base64.b64decode(_field(entry, "data", str, name), validate=True)
+    except ValueError as exc:
+        raise ValueError(f"parameter {name!r}: data is not valid base64 ({exc})") from exc
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"parameter {name!r}: {len(raw)} bytes do not fit shape "
+                         f"{list(shape)} of float64")
+    if hashlib.sha256(raw).hexdigest() != digest:
+        raise ValueError(f"parameter {name!r}: sha256 mismatch, checkpoint data is corrupt")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+
+_DECODERS = {1: _decode_v1, 2: _decode_v2}
+
+
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint back as plain arrays plus the extra metadata dict."""
+    """Read a checkpoint back as plain float64 arrays plus the extra dict.
+
+    Reads format 2 (see `save_checkpoint`) and format 1, where ``data`` is
+    the flat list of floats. Any structural fault, a digest mismatch or a
+    non-finite value raises ValueError naming the cause and the parameter.
+    """
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint must be a JSON object, got {type(payload).__name__}")
     fmt = payload.get("format")
-    if fmt != CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format {fmt!r}, expected {CHECKPOINT_FORMAT}")
-    arrays = {
-        name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in payload["params"].items()
-    }
-    return arrays, payload.get("extra", {})
+    decode = _DECODERS.get(fmt) if type(fmt) is int else None
+    if decode is None:
+        raise ValueError(f"unsupported checkpoint format {fmt!r}, expected 1 or 2")
+    params = payload.get("params")
+    if not isinstance(params, dict):
+        raise ValueError("checkpoint 'params' must be a JSON object")
+    extra = payload.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ValueError("checkpoint 'extra' must be a JSON object")
+    arrays = {}
+    for name, entry in params.items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"parameter {name!r}: entry must be a JSON object")
+        a = decode(entry, name)
+        if not np.isfinite(a).all():
+            raise ValueError(f"parameter {name!r} holds non-finite values")
+        arrays[name] = a
+    return arrays, extra
 
 
 def restore_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]):
