@@ -8,6 +8,16 @@ second-order derivatives.
 
 Design notes:
   * float64 everywhere; gradient checking demands the precision.
+  * add, sub and mul broadcast like numpy. Their VJPs sum the incoming
+    gradient back to each operand's shape with sum_to, the adjoint of
+    broadcast_to; sum_to returns a tensor of the right shape unchanged, so
+    same-shape arithmetic adds no node to the backward graph.
+  * take(a, index) copies a.data[index] for an int, a slice, a tuple of
+    them or an int array; int arrays are range-checked, and negative ids
+    raise IndexError instead of wrapping. Its adjoint put(v, index, shape)
+    writes v into zeros of that shape and sums the rows an int array
+    repeats. All indexing in the engine (slices, zero padding, single rows
+    and elements, embedding lookups and their scatters) is one of the two.
   * Max-style ops (rows_max, vec_max) break ties toward the lowest index
     and treat the winner selection as constant during differentiation.
   * A graph is "consumed" by backward(); call it twice on the same root
@@ -16,6 +26,9 @@ Design notes:
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -93,7 +106,10 @@ def _node(data, parents, vjp, op: str) -> Tensor:
     out._parents = tuple(parents)
     out._vjp = vjp
     out._op = op
-    out.requires_grad = any(p.requires_grad for p in parents)
+    for p in parents:  # a loop: no generator per node
+        if p.requires_grad:
+            out.requires_grad = True
+            break
     return out
 
 
@@ -101,31 +117,35 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _check_same_shape(op: str, a: Tensor, b: Tensor):
-    if a.shape != b.shape:
-        raise ShapeMismatchError(op, a.shape, b.shape)
-
-
 # ---------------------------------------------------------------------------
-# elementwise ops
+# elementwise ops, broadcasting like numpy
 # ---------------------------------------------------------------------------
+
+def _broadcast(ufunc, op: str, a: Tensor, b: Tensor) -> np.ndarray:
+    try:
+        return ufunc(a.data, b.data)
+    except ValueError:
+        raise ShapeMismatchError(op, a.shape, b.shape) from None
+
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape("add", a, b)
-    return _node(a.data + b.data, (a, b), lambda g: (g, g), "add")
+    sa, sb = a.shape, b.shape
+    return _node(_broadcast(np.add, "add", a, b), (a, b),
+                 lambda g: (sum_to(g, sa), sum_to(g, sb)), "add")
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape("sub", a, b)
-    return _node(a.data - b.data, (a, b), lambda g: (g, neg(g)), "sub")
+    sa, sb = a.shape, b.shape
+    return _node(_broadcast(np.subtract, "sub", a, b), (a, b),
+                 lambda g: (sum_to(g, sa), neg(sum_to(g, sb))), "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape("mul", a, b)
-    return _node(a.data * b.data, (a, b), lambda g: (mul(g, b), mul(g, a)), "mul")
+    return _node(_broadcast(np.multiply, "mul", a, b), (a, b),
+                 lambda g: (sum_to(mul(g, b), a.shape), sum_to(mul(g, a), b.shape)), "mul")
 
 
 def scale(a, c: float) -> Tensor:
@@ -203,6 +223,46 @@ def reciprocal(a) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# shape: broadcasting and its adjoint, reshaping
+# ---------------------------------------------------------------------------
+
+def broadcast_to(a, shape) -> Tensor:
+    """Copy a out to `shape` by numpy's broadcasting rules."""
+    a = _as_tensor(a)
+    shape = tuple(shape)
+    try:
+        out = np.broadcast_to(a.data, shape).copy()
+    except ValueError:
+        raise ShapeMismatchError("broadcast_to", a.shape, shape) from None
+    return _node(out, (a,), lambda g: (sum_to(g, a.shape),), "broadcast_to")
+
+
+def sum_to(a, shape) -> Tensor:
+    """Sum a down to `shape`, the adjoint of broadcast_to; a itself if it has that shape."""
+    a = _as_tensor(a)
+    shape = tuple(shape)
+    if a.shape == shape:
+        return a
+    lead = a.ndim - len(shape)
+    if lead < 0 or any(s not in (1, n) for s, n in zip(shape, a.shape[lead:])):
+        raise ShapeMismatchError("sum_to", a.shape, shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, s in enumerate(shape) if s == 1 and a.shape[lead + i] != 1)
+    out = a.data.sum(axis=axes, keepdims=True).reshape(shape)
+    return _node(out, (a,), lambda g: (broadcast_to(g, a.shape),), "sum_to")
+
+
+def reshape(a, shape) -> Tensor:
+    a = _as_tensor(a)
+    src = a.shape
+    try:
+        out = a.data.reshape(shape)
+    except ValueError:
+        raise ShapeMismatchError("reshape", src, tuple(shape)) from None
+    return _node(out, (a,), lambda g: (reshape(g, src),), "reshape")
+
+
+# ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
 
@@ -254,109 +314,23 @@ def dot(u, v) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# broadcast helpers (explicit, no general broadcasting)
-# ---------------------------------------------------------------------------
-
-def add_rowvec(m, v) -> Tensor:
-    """(r, c) + (c,) broadcast over rows."""
-    m, v = _as_tensor(m), _as_tensor(v)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeMismatchError("add_rowvec", m.shape, v.shape)
-    return _node(m.data + v.data, (m, v), lambda g: (g, sum_axis(g, 0)), "add_rowvec")
-
-
-def sub_rowvec(m, v) -> Tensor:
-    m, v = _as_tensor(m), _as_tensor(v)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeMismatchError("sub_rowvec", m.shape, v.shape)
-    return _node(m.data - v.data, (m, v), lambda g: (g, neg(sum_axis(g, 0))), "sub_rowvec")
-
-
-def mul_rowvec(m, v) -> Tensor:
-    m, v = _as_tensor(m), _as_tensor(v)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeMismatchError("mul_rowvec", m.shape, v.shape)
-    return _node(
-        m.data * v.data,
-        (m, v),
-        lambda g: (mul_rowvec(g, v), sum_axis(mul(g, m), 0)),
-        "mul_rowvec",
-    )
-
-
-def mul_colvec(m, v) -> Tensor:
-    """Scale row i of (r, c) by v[i]."""
-    m, v = _as_tensor(m), _as_tensor(v)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[0] != v.shape[0]:
-        raise ShapeMismatchError("mul_colvec", m.shape, v.shape)
-    return _node(
-        m.data * v.data[:, None],
-        (m, v),
-        lambda g: (mul_colvec(g, v), sum_axis(mul(g, m), 1)),
-        "mul_colvec",
-    )
-
-
-def add_bscalar(a, s) -> Tensor:
-    """Add a 0-d tensor to every element."""
-    a, s = _as_tensor(a), _as_tensor(s)
-    if s.ndim != 0:
-        raise ShapeMismatchError("add_bscalar", a.shape, s.shape)
-    return _node(a.data + s.data, (a, s), lambda g: (g, sum_all(g)), "add_bscalar")
-
-
-def sub_bscalar(a, s) -> Tensor:
-    a, s = _as_tensor(a), _as_tensor(s)
-    if s.ndim != 0:
-        raise ShapeMismatchError("sub_bscalar", a.shape, s.shape)
-    return _node(a.data - s.data, (a, s), lambda g: (g, neg(sum_all(g))), "sub_bscalar")
-
-
-def bfill(s, shape) -> Tensor:
-    """Broadcast a 0-d tensor to an arbitrary shape."""
-    s = _as_tensor(s)
-    if s.ndim != 0:
-        raise ShapeMismatchError("bfill", s.shape, tuple(shape))
-    shape = tuple(shape)
-    return _node(np.full(shape, float(s.data)), (s,), lambda g: (sum_all(g),), "bfill")
-
-
-def repeat_row(v, n_rows: int) -> Tensor:
-    """Tile a (c,) vector into (n_rows, c)."""
-    v = _as_tensor(v)
-    if v.ndim != 1:
-        raise ShapeMismatchError("repeat_row", v.shape, (n_rows,))
-    return _node(
-        np.broadcast_to(v.data, (n_rows, v.shape[0])).copy(),
-        (v,),
-        lambda g: (sum_axis(g, 0),),
-        "repeat_row",
-    )
-
-
-# ---------------------------------------------------------------------------
-# reductions
+# reductions and softmax
 # ---------------------------------------------------------------------------
 
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
     shape = a.shape
-    return _node(np.sum(a.data), (a,), lambda g: (bfill(g, shape),), "sum_all")
+    return _node(np.sum(a.data), (a,), lambda g: (broadcast_to(g, shape),), "sum_all")
 
 
 def sum_axis(m, axis: int) -> Tensor:
     m = _as_tensor(m)
     if m.ndim != 2 or axis not in (0, 1):
         raise ShapeMismatchError("sum_axis", m.shape, (axis,))
-    n_rows, n_cols = m.shape
     if axis == 0:
-        return _node(m.data.sum(axis=0), (m,), lambda g: (repeat_row(g, n_rows),), "sum_axis0")
-
-    def vjp(g):
-        # tile g (r,) into columns: outer(g, ones)
-        return (outer(g, Tensor(np.ones(n_cols))),)
-
-    return _node(m.data.sum(axis=1), (m,), vjp, "sum_axis1")
+        return sum_to(m, m.shape[1:])
+    ones = Tensor(np.ones(m.shape[1]))  # the VJP tiles g (r,) into columns
+    return _node(m.data.sum(axis=1), (m,), lambda g: (outer(g, ones),), "sum_axis1")
 
 
 def l1norm(a) -> Tensor:
@@ -368,9 +342,7 @@ def vec_max(v) -> Tensor:
     v = _as_tensor(v)
     if v.ndim != 1 or v.shape[0] == 0:
         raise ShapeMismatchError("vec_max", v.shape, ("n>=1",))
-    idx = int(np.argmax(v.data))
-    n = v.shape[0]
-    return _node(v.data[idx], (v,), lambda g: (onehot(g, idx, n),), "vec_max")
+    return take(v, int(np.argmax(v.data)))
 
 
 def rows_max(m) -> Tensor:
@@ -379,31 +351,10 @@ def rows_max(m) -> Tensor:
     if m.ndim != 2 or m.shape[0] == 0:
         raise ShapeMismatchError("rows_max", m.shape, ("n>=1", "d"))
     vals, idx = kernels.rows_max(np.ascontiguousarray(m.data))
-    n = m.shape[0]
-    return _node(vals, (m,), lambda g: (colwise_scatter(g, idx, n),), "rows_max")
+    index = (idx, np.arange(m.shape[1]))
+    shape = m.shape
+    return _node(vals, (m,), lambda g: (put(g, index, shape),), "rows_max")
 
-
-def colwise_scatter(v, idx: np.ndarray, n_rows: int) -> Tensor:
-    v = _as_tensor(v)
-    if v.ndim != 1 or v.shape[0] != idx.shape[0]:
-        raise ShapeMismatchError("colwise_scatter", v.shape, idx.shape)
-    out = np.zeros((n_rows, v.shape[0]))
-    out[idx, np.arange(v.shape[0])] = v.data
-    return _node(out, (v,), lambda g: (colwise_gather(g, idx),), "colwise_scatter")
-
-
-def colwise_gather(m, idx: np.ndarray) -> Tensor:
-    m = _as_tensor(m)
-    if m.ndim != 2 or m.shape[1] != idx.shape[0]:
-        raise ShapeMismatchError("colwise_gather", m.shape, idx.shape)
-    n_rows = m.shape[0]
-    vals = m.data[idx, np.arange(m.shape[1])]
-    return _node(vals, (m,), lambda g: (colwise_scatter(g, idx, n_rows),), "colwise_gather")
-
-
-# ---------------------------------------------------------------------------
-# softmax
-# ---------------------------------------------------------------------------
 
 def softmax(a, axis: int = 0) -> Tensor:
     """Softmax along the sentence axis: 1-d vectors, or axis 0 of a 2-d matrix."""
@@ -414,97 +365,72 @@ def softmax(a, axis: int = 0) -> Tensor:
         z = a.data - a.data.max()
         e = np.exp(z)
         node = _node(e / e.sum(), (a,), None, "softmax")
-
-        def vjp(g):
-            t = mul(g, node)
-            return (mul(node, sub_bscalar(g, sum_all(t))),)
-
-        node._vjp = vjp
-        return node
-    if a.ndim != 2 or axis != 0:
+        reduce = sum_all
+    elif a.ndim == 2 and axis == 0:
+        z = a.data - a.data.max(axis=0, keepdims=True)
+        e = np.exp(z)
+        node = _node(e / e.sum(axis=0, keepdims=True), (a,), None, "softmax")
+        reduce = lambda t: sum_axis(t, 0)  # noqa: E731
+    else:
         raise ShapeMismatchError("softmax", a.shape, (axis,))
-    z = a.data - a.data.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    node = _node(e / e.sum(axis=0, keepdims=True), (a,), None, "softmax")
-
-    def vjp(g):
-        t = mul(g, node)
-        return (mul(node, sub_rowvec(g, sum_axis(t, 0))),)
-
-    node._vjp = vjp
+    node._vjp = lambda g: (mul(node, sub(g, reduce(mul(g, node)))),)
     return node
 
 
 # ---------------------------------------------------------------------------
-# structure: slicing, stacking, concatenation, selection
+# selection: take and its adjoint put, concatenation, stacking
 # ---------------------------------------------------------------------------
 
-def slice1d(v, start: int, stop: int) -> Tensor:
+def take(a, index) -> Tensor:
+    """Copy of a.data[index]; the index is an int, a slice, an int array or a tuple of them."""
+    a = _as_tensor(a)
+    for part in index if isinstance(index, tuple) else (index,):
+        # a negative id would wrap around; numpy itself rejects ids past the end
+        if isinstance(part, np.ndarray) and part.size and part.min() < 0:
+            raise IndexError(f"take: negative id {part.min()} in index")
+    out = a.data[index]
+    if not isinstance(index, np.ndarray):
+        out = out.copy()  # a basic index gives a view; own the data
+    shape = a.shape
+    return _node(out, (a,), lambda g: (put(g, index, shape),), "take")
+
+
+def put(v, index, shape) -> Tensor:
+    """Zeros of `shape` holding v at index, the adjoint of take.
+
+    Rows an int array repeats are summed (kernels.scatter_add_rows); a
+    tuple holding int arrays accumulates in index order as well. The ids
+    are not checked again: they come from take or from the engine itself.
+    """
     v = _as_tensor(v)
-    if v.ndim != 1 or not (0 <= start <= stop <= v.shape[0]):
-        raise ShapeMismatchError("slice1d", v.shape, (start, stop))
-    after = v.shape[0] - stop
-    return _node(v.data[start:stop].copy(), (v,), lambda g: (pad1d(g, start, after),), "slice1d")
+    shape = tuple(shape)
+    if isinstance(index, np.ndarray):
+        if v.shape != index.shape + shape[1:]:
+            raise ShapeMismatchError("put", v.shape, shape)
+        rows = np.ascontiguousarray(v.data.reshape(index.size, math.prod(shape[1:])))
+        out = kernels.scatter_add_rows(shape[0], index.reshape(-1), rows).reshape(shape)
+    else:
+        out = np.zeros(shape)
+        if out[index].shape != v.shape:
+            raise ShapeMismatchError("put", v.shape, shape)
+        if isinstance(index, tuple) and any(isinstance(p, np.ndarray) for p in index):
+            np.add.at(out, index, v.data)
+        else:
+            out[index] = v.data
+    return _node(out, (v,), lambda g: (take(g, index),), "put")
 
 
-def pad1d(v, before: int, after: int) -> Tensor:
-    v = _as_tensor(v)
-    if v.ndim != 1:
-        raise ShapeMismatchError("pad1d", v.shape, (before, after))
-    n = v.shape[0]
-    out = np.zeros(before + n + after)
-    out[before:before + n] = v.data
-    return _node(out, (v,), lambda g: (slice1d(g, before, before + n),), "pad1d")
-
-
-def concat1d(parts) -> Tensor:
+def concat(parts, axis: int = 0) -> Tensor:
+    """Join tensors along an existing axis."""
     parts = [_as_tensor(p) for p in parts]
-    for p in parts:
-        if p.ndim != 1:
-            raise ShapeMismatchError("concat1d", p.shape, ("n",))
-    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
-
-    def vjp(g):
-        return tuple(slice1d(g, int(bounds[i]), int(bounds[i + 1])) for i in range(len(parts)))
-
-    return _node(np.concatenate([p.data for p in parts]), parts, vjp, "concat1d")
-
-
-def concat_cols(parts) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.ndim != 2 or p.shape[0] != rows:
-            raise ShapeMismatchError("concat_cols", parts[0].shape, p.shape)
-    bounds = np.cumsum([0] + [p.shape[1] for p in parts])
-
-    def vjp(g):
-        return tuple(slice_cols(g, int(bounds[i]), int(bounds[i + 1])) for i in range(len(parts)))
-
-    return _node(np.concatenate([p.data for p in parts], axis=1), parts, vjp, "concat_cols")
-
-
-def slice_cols(m, start: int, stop: int) -> Tensor:
-    m = _as_tensor(m)
-    if m.ndim != 2 or not (0 <= start <= stop <= m.shape[1]):
-        raise ShapeMismatchError("slice_cols", m.shape, (start, stop))
-    after = m.shape[1] - stop
-    return _node(
-        np.ascontiguousarray(m.data[:, start:stop]),
-        (m,),
-        lambda g: (pad_cols(g, start, after),),
-        "slice_cols",
-    )
-
-
-def pad_cols(m, before: int, after: int) -> Tensor:
-    m = _as_tensor(m)
-    if m.ndim != 2:
-        raise ShapeMismatchError("pad_cols", m.shape, (before, after))
-    r, c = m.shape
-    out = np.zeros((r, before + c + after))
-    out[:, before:before + c] = m.data
-    return _node(out, (m,), lambda g: (slice_cols(g, before, before + c),), "pad_cols")
+    try:
+        out = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError:
+        raise ShapeMismatchError("concat", (axis,), tuple(p.shape for p in parts)) from None
+    lead = (slice(None),) * (axis % out.ndim)
+    bounds = list(itertools.accumulate((p.shape[len(lead)] for p in parts), initial=0))
+    index = [lead + (slice(lo, hi),) for lo, hi in zip(bounds, bounds[1:])]
+    return _node(out, parts, lambda g: tuple(take(g, i) for i in index), "concat")
 
 
 def stack_rows(rows) -> Tensor:
@@ -513,95 +439,14 @@ def stack_rows(rows) -> Tensor:
     for r in rows:
         if r.ndim != 1 or r.shape[0] != width:
             raise ShapeMismatchError("stack_rows", rows[0].shape, r.shape)
-
-    def vjp(g):
-        return tuple(row(g, i) for i in range(len(rows)))
-
-    return _node(np.stack([r.data for r in rows]), rows, vjp, "stack_rows")
-
-
-def row(m, i: int) -> Tensor:
-    m = _as_tensor(m)
-    if m.ndim != 2 or not (0 <= i < m.shape[0]):
-        raise ShapeMismatchError("row", m.shape, (i,))
-    n_rows = m.shape[0]
-    return _node(m.data[i].copy(), (m,), lambda g: (row_scatter(g, i, n_rows),), "row")
-
-
-def row_scatter(v, i: int, n_rows: int) -> Tensor:
-    v = _as_tensor(v)
-    if v.ndim != 1:
-        raise ShapeMismatchError("row_scatter", v.shape, (i, n_rows))
-    out = np.zeros((n_rows, v.shape[0]))
-    out[i] = v.data
-    return _node(out, (v,), lambda g: (row(g, i),), "row_scatter")
-
-
-def pick(v, i: int) -> Tensor:
-    """Select element i of a 1-d vector as a 0-d tensor."""
-    v = _as_tensor(v)
-    if v.ndim != 1 or not (0 <= i < v.shape[0]):
-        raise ShapeMismatchError("pick", v.shape, (i,))
-    n = v.shape[0]
-    return _node(v.data[i], (v,), lambda g: (onehot(g, i, n),), "pick")
-
-
-def onehot(s, i: int, n: int) -> Tensor:
-    s = _as_tensor(s)
-    if s.ndim != 0:
-        raise ShapeMismatchError("onehot", s.shape, (i, n))
-    out = np.zeros(n)
-    out[i] = float(s.data)
-    return _node(out, (s,), lambda g: (pick(g, i),), "onehot")
+    n = len(rows)
+    return _node(np.stack([r.data for r in rows]), rows,
+                 lambda g: tuple(take(g, i) for i in range(n)), "stack_rows")
 
 
 # ---------------------------------------------------------------------------
-# embedding lookup and row padding / convolution support
+# convolution
 # ---------------------------------------------------------------------------
-
-def gather_rows(table, ids: np.ndarray) -> Tensor:
-    """Embedding lookup: rows ids of (R, d). Backward accumulates into those rows only."""
-    table = _as_tensor(table)
-    ids = np.asarray(ids, dtype=np.int64)
-    if table.ndim != 2 or ids.ndim != 1:
-        raise ShapeMismatchError("gather_rows", table.shape, ids.shape)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexError(f"gather_rows: id out of range for table with {table.shape[0]} rows")
-    n_rows = table.shape[0]
-    return _node(table.data[ids], (table,), lambda g: (scatter_rows(g, ids, n_rows),), "gather_rows")
-
-
-def scatter_rows(m, ids: np.ndarray, n_rows: int) -> Tensor:
-    m = _as_tensor(m)
-    ids = np.asarray(ids, dtype=np.int64)
-    if m.ndim != 2 or ids.shape[0] != m.shape[0]:
-        raise ShapeMismatchError("scatter_rows", m.shape, ids.shape)
-    out = kernels.scatter_add_rows(n_rows, ids, np.ascontiguousarray(m.data))
-    return _node(out, (m,), lambda g: (gather_rows(g, ids),), "scatter_rows")
-
-
-def pad_rows(m, before: int, after: int) -> Tensor:
-    m = _as_tensor(m)
-    if m.ndim != 2:
-        raise ShapeMismatchError("pad_rows", m.shape, (before, after))
-    r, c = m.shape
-    out = np.zeros((before + r + after, c))
-    out[before:before + r] = m.data
-    return _node(out, (m,), lambda g: (slice_rows(g, before, before + r),), "pad_rows")
-
-
-def slice_rows(m, start: int, stop: int) -> Tensor:
-    m = _as_tensor(m)
-    if m.ndim != 2 or not (0 <= start <= stop <= m.shape[0]):
-        raise ShapeMismatchError("slice_rows", m.shape, (start, stop))
-    after = m.shape[0] - stop
-    return _node(
-        m.data[start:stop].copy(),
-        (m,),
-        lambda g: (pad_rows(g, start, after),),
-        "slice_rows",
-    )
-
 
 def im2col(m, width: int) -> Tensor:
     """Unfold (Lp, c) into (Lp-width+1, width*c) convolution rows."""
@@ -629,12 +474,13 @@ def conv1d(x, filters, bias=None) -> Tensor:
     x, filters = _as_tensor(x), _as_tensor(filters)
     if x.ndim != 2 or filters.ndim != 2 or filters.shape[0] % x.shape[1] != 0:
         raise ShapeMismatchError("conv1d", x.shape, filters.shape)
-    width = filters.shape[0] // x.shape[1]
+    length, c_in = x.shape
+    width = filters.shape[0] // c_in
     before = (width - 1) // 2
-    after = width - 1 - before
-    out = matmul(im2col(pad_rows(x, before, after), width), filters)
+    padded = put(x, slice(before, before + length), (length + width - 1, c_in))
+    out = matmul(im2col(padded, width), filters)
     if bias is not None:
-        out = add_rowvec(out, bias)
+        out = add(out, bias)
     return out
 
 

@@ -161,7 +161,7 @@ def augmented_bag_loss(model: RelationModel, aug: AugmentedBag, gamma: float) ->
     fwd = model.forward_sentences(sentences, aug.base.entity_i, aug.base.entity_j)
     gi = gi_vector(fwd, aug.relation)
     n = len(aug.base.sentences)
-    return distractor_loss(ad.slice1d(gi, 0, n), ad.pick(gi, n), gamma)
+    return distractor_loss(ad.take(gi, slice(0, n)), ad.take(gi, n), gamma)
 
 
 def combined_loss(base_loss: Tensor, distractor_terms: Sequence[Tensor], lam: float) -> Tensor:

@@ -59,11 +59,40 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
-        d = dict(d)
-        d["widths"] = tuple(d["widths"])
-        cfg = cls(**d)
+        d = checked_fields(d, "encoder config", {
+            "vocab_size": int, "n_fget": int, "d_w": int, "d_p": int,
+            "pos_clip": int, "widths": list, "channels": int,
+        })
+        if not all(_is_int(w) for w in d["widths"]):
+            raise ValueError(
+                f"encoder config key 'widths' must be a list of ints, got {d['widths']!r}")
+        cfg = cls(**{**d, "widths": tuple(d["widths"])})
         cfg.validate()
         return cfg
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def checked_fields(d, what: str, types: dict[str, type]) -> dict:
+    """d itself once it is an object with exactly the keys of `types`, each of its type.
+
+    Each fault (not an object, a missing or unknown key, an ill-typed
+    value) raises ValueError naming `what` and the key.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    for key in d:
+        if key not in types:
+            raise ValueError(f"{what} has unknown key {key!r}")
+    for key, typ in types.items():
+        if key not in d:
+            raise ValueError(f"{what} is missing key {key!r}")
+        ok = _is_int(d[key]) if typ is int else isinstance(d[key], typ)
+        if not ok:
+            raise ValueError(f"{what} key {key!r} must be {typ.__name__}, got {d[key]!r}")
+    return d
 
 
 def relative_position(token_idx: int, span: tuple[int, int], clip: int) -> int:
@@ -141,13 +170,13 @@ class SentenceEncoder:
             raise ValueError(f"unknown token id {bad} (table has {cfg.token_rows} rows)")
         length = ids.shape[0]
         parts = [
-            ad.gather_rows(self.params["embed.tokens"], ids),
-            ad.gather_rows(self.params["embed.pos_i"], position_ids(length, mention_i, cfg.pos_clip)),
-            ad.gather_rows(self.params["embed.pos_j"], position_ids(length, mention_j, cfg.pos_clip)),
+            ad.take(self.params["embed.tokens"], ids),
+            ad.take(self.params["embed.pos_i"], position_ids(length, mention_i, cfg.pos_clip)),
+            ad.take(self.params["embed.pos_j"], position_ids(length, mention_j, cfg.pos_clip)),
         ]
-        x = ad.concat_cols(parts)
+        x = ad.concat(parts, axis=1)
         pooled = [
             ad.rows_max(ad.conv1d(x, self.params[f"enc.w{w}.filters"], self.params[f"enc.w{w}.bias"]))
             for w in sorted(cfg.widths)
         ]
-        return ad.relu(ad.concat1d(pooled))
+        return ad.relu(ad.concat(pooled))

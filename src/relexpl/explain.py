@@ -44,7 +44,7 @@ def encoding_gradient(fwd: BagForward, k: int) -> Tensor:
     """In-graph (N, d) gradient of the logit o_k w.r.t. the encoding stack."""
     if fwd.X is None:
         raise ValueError("forward pass has no sentence encodings")
-    (gX,) = ad.grad(ad.pick(fwd.logits, k), [fwd.X])
+    (gX,) = ad.grad(ad.take(fwd.logits, k), [fwd.X])
     return gX
 
 

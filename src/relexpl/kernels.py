@@ -1,29 +1,15 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
-
-The jitted path is used when numba imports cleanly, unless the environment
-variable ``RELEXPL_NUMBA`` is set to ``0``/``false``/``off``/``no``, which
-forces the numpy fallback. Both variants stay importable (``*_numpy`` /
-``*_numba``) so benchmarks and tests can compare them directly.
+"""Array kernels of the tensor engine, in numpy.
 
 All kernels take and return float64 arrays and are deterministic: the
 accumulation order of every loop is fixed.
 """
 
-import os
-
 import numpy as np
 
-
-def numba_disabled_by_env() -> bool:
-    flag = os.environ.get("RELEXPL_NUMBA", "").strip().lower()
-    return flag in ("0", "false", "off", "no")
+USING_NUMBA = False  # one numpy route; the constant stays for tools that report the route
 
 
-# ---------------------------------------------------------------------------
-# numpy fallbacks
-# ---------------------------------------------------------------------------
-
-def im2col_numpy(xpad: np.ndarray, width: int) -> np.ndarray:
+def im2col(xpad: np.ndarray, width: int) -> np.ndarray:
     """Unfold a padded (Lp, c) sequence into (Lp-width+1, width*c) rows.
 
     Column block dt of the output holds xpad shifted by dt, so row t is the
@@ -37,7 +23,7 @@ def im2col_numpy(xpad: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def col2im_numpy(g: np.ndarray, width: int) -> np.ndarray:
+def col2im(g: np.ndarray, width: int) -> np.ndarray:
     """Adjoint of im2col: fold (L, width*c) back into (L+width-1, c), summing overlaps."""
     l, wc = g.shape
     c = wc // width
@@ -47,7 +33,7 @@ def col2im_numpy(g: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def rows_max_numpy(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def rows_max(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columnwise max over the rows of (N, d): values (d,) and argmax rows (d,).
 
     Ties resolve to the lowest row index.
@@ -57,103 +43,8 @@ def rows_max_numpy(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(vals, dtype=np.float64), idx.astype(np.int64)
 
 
-def scatter_add_rows_numpy(n_rows: int, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Accumulate rows (m, d) into a zero (n_rows, d) table at positions ids (m,)."""
+def scatter_add_rows(n_rows: int, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Accumulate rows (m, d) into a zero (n_rows, d) table at positions ids (m,), in order."""
     out = np.zeros((n_rows, rows.shape[1]), dtype=np.float64)
     np.add.at(out, ids, rows)
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba variants
-# ---------------------------------------------------------------------------
-
-try:  # pragma: no cover - exercised indirectly via the selected aliases
-    if numba_disabled_by_env():
-        raise ImportError("numba disabled via RELEXPL_NUMBA")
-    from numba import njit
-
-    @njit(cache=True)
-    def _im2col_core(xpad, width, out):
-        lp, c = xpad.shape
-        l = lp - width + 1
-        for t in range(l):
-            for dt in range(width):
-                base = dt * c
-                for j in range(c):
-                    out[t, base + j] = xpad[t + dt, j]
-
-    @njit(cache=True)
-    def _col2im_core(g, width, out):
-        # dt-major accumulation: same floating-point order as the numpy route
-        l, wc = g.shape
-        c = wc // width
-        for dt in range(width):
-            base = dt * c
-            for t in range(l):
-                for j in range(c):
-                    out[t + dt, j] += g[t, base + j]
-
-    @njit(cache=True)
-    def _rows_max_core(x, vals, idx):
-        n, d = x.shape
-        for j in range(d):
-            best = x[0, j]
-            bi = 0
-            for i in range(1, n):
-                if x[i, j] > best:
-                    best = x[i, j]
-                    bi = i
-            vals[j] = best
-            idx[j] = bi
-
-    @njit(cache=True)
-    def _scatter_add_rows_core(out, ids, rows):
-        m, d = rows.shape
-        for i in range(m):
-            r = ids[i]
-            for j in range(d):
-                out[r, j] += rows[i, j]
-
-    def im2col_numba(xpad: np.ndarray, width: int) -> np.ndarray:
-        lp, c = xpad.shape
-        out = np.empty((lp - width + 1, width * c), dtype=np.float64)
-        _im2col_core(xpad, width, out)
-        return out
-
-    def col2im_numba(g: np.ndarray, width: int) -> np.ndarray:
-        l, wc = g.shape
-        out = np.zeros((l + width - 1, wc // width), dtype=np.float64)
-        _col2im_core(g, width, out)
-        return out
-
-    def rows_max_numba(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vals = np.empty(x.shape[1], dtype=np.float64)
-        idx = np.empty(x.shape[1], dtype=np.int64)
-        _rows_max_core(x, vals, idx)
-        return vals, idx
-
-    def scatter_add_rows_numba(n_rows: int, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        out = np.zeros((n_rows, rows.shape[1]), dtype=np.float64)
-        _scatter_add_rows_core(out, np.ascontiguousarray(ids), rows)
-        return out
-
-    USING_NUMBA = True
-except ImportError:
-    im2col_numba = None
-    col2im_numba = None
-    rows_max_numba = None
-    scatter_add_rows_numba = None
-    USING_NUMBA = False
-
-
-if USING_NUMBA:
-    im2col = im2col_numba
-    col2im = col2im_numba
-    rows_max = rows_max_numba
-    scatter_add_rows = scatter_add_rows_numba
-else:
-    im2col = im2col_numpy
-    col2im = col2im_numpy
-    rows_max = rows_max_numpy
-    scatter_add_rows = scatter_add_rows_numpy

@@ -26,7 +26,7 @@ from . import autodiff as ad
 from . import optim
 from .autodiff import Tensor
 from .corpus import Bag, ReprMode, Sentence, apply_repr_mode
-from .encoder import EncoderConfig, SentenceEncoder
+from .encoder import EncoderConfig, SentenceEncoder, checked_fields
 
 BCE_EPS = 1e-12
 
@@ -66,15 +66,16 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        cfg = cls(
-            kind=d["kind"],
-            n_relations=int(d["n_relations"]),
-            encoder=EncoderConfig.from_dict(d["encoder"]),
-            repr_mode=ReprMode(d["repr_mode"]),
-            fusion=bool(d["fusion"]),
-            d_e=int(d["d_e"]),
-            n_entities=int(d["n_entities"]),
-        )
+        d = checked_fields(d, "model config", {
+            "kind": str, "n_relations": int, "encoder": dict, "repr_mode": str,
+            "fusion": bool, "d_e": int, "n_entities": int,
+        })
+        modes = [m.value for m in ReprMode]
+        if d["repr_mode"] not in modes:
+            raise ValueError(f"model config key 'repr_mode' must be one of {modes}, "
+                             f"got {d['repr_mode']!r}")
+        cfg = cls(**{**d, "encoder": EncoderConfig.from_dict(d["encoder"]),
+                     "repr_mode": ReprMode(d["repr_mode"])})
         cfg.validate()
         return cfg
 
@@ -146,26 +147,25 @@ class RelationModel:
         table = self.params["fuse.entities"]
         if not 0 <= entity < table.shape[0]:
             raise ValueError(f"entity id {entity} has no embedding row")
-        return ad.row(table, entity)
+        return ad.take(table, entity)
 
     def _fuse_vec(self, rep: Tensor, entity_i: int, entity_j: int) -> Tensor:
         vi = self._entity_vec(entity_i)
         vj = self._entity_vec(entity_j)
-        z = ad.concat1d([rep, ad.sub(vi, vj), ad.mul(vi, vj)])
+        z = ad.concat([rep, ad.sub(vi, vj), ad.mul(vi, vj)])
         return ad.relu(ad.add(ad.matvec(ad.transpose(self.params["fuse.proj"]), z),
                               self.params["fuse.bias"]))
 
     def _fuse_rows(self, reps: Tensor, entity_i: int, entity_j: int) -> Tensor:
-        n = reps.shape[0]
+        shape = (reps.shape[0], self.cfg.d_e)
         vi = self._entity_vec(entity_i)
         vj = self._entity_vec(entity_j)
-        z = ad.concat_cols([
+        z = ad.concat([
             reps,
-            ad.repeat_row(ad.sub(vi, vj), n),
-            ad.repeat_row(ad.mul(vi, vj), n),
-        ])
-        return ad.relu(ad.add_rowvec(ad.matmul(z, self.params["fuse.proj"]),
-                                     self.params["fuse.bias"]))
+            ad.broadcast_to(ad.sub(vi, vj), shape),
+            ad.broadcast_to(ad.mul(vi, vj), shape),
+        ], axis=1)
+        return ad.relu(ad.add(ad.matmul(z, self.params["fuse.proj"]), self.params["fuse.bias"]))
 
     # -- forward ------------------------------------------------------------
 
@@ -229,12 +229,12 @@ class DirectSupModel(RelationModel):
         self.params["rel.b"] = Tensor(np.zeros(()), requires_grad=True)
 
     def relevance_alphas(self, X: Tensor) -> Tensor:
-        scores = ad.add_bscalar(ad.matvec(X, self.params["rel.w"]), self.params["rel.b"])
+        scores = ad.add(ad.matvec(X, self.params["rel.w"]), self.params["rel.b"])
         return ad.sigmoid(scores)
 
     def _bag_logits(self, X: Tensor, entity_i: int, entity_j: int) -> tuple[Tensor, Tensor, Tensor]:
         alphas = self.relevance_alphas(X)
-        rep = ad.rows_max(ad.mul_colvec(X, alphas))
+        rep = ad.rows_max(ad.mul(X, ad.reshape(alphas, (X.shape[0], 1))))
         fused = self._fuse_vec(rep, entity_i, entity_j) if self.cfg.fusion else rep
         logits = ad.add(ad.matvec(self.params["head.rel"], fused), self.params["head.bias"])
         return alphas, rep, logits
@@ -251,7 +251,7 @@ class CnnsAttModel(RelationModel):
 
     def attention_alphas(self, X: Tensor) -> Tensor:
         """(N, K): column k is the softmax over sentences for relation k."""
-        keys = ad.mul_rowvec(self.params["att.query"], self.params["att.diag"])
+        keys = ad.mul(self.params["att.query"], self.params["att.diag"])
         scores = ad.matmul(X, ad.transpose(keys))
         return ad.softmax(scores, axis=0)
 
@@ -274,6 +274,8 @@ def build_model(cfg: ModelConfig, seed: int) -> RelationModel:
 def load_model(path: str) -> tuple[RelationModel, dict]:
     """Rebuild a model from a checkpoint; returns (model, sidecar metadata)."""
     arrays, extra = optim.load_checkpoint(path)
+    if "config" not in extra:
+        raise ValueError(f"checkpoint {path} has no model 'config' in its extra block")
     cfg = ModelConfig.from_dict(extra["config"])
     model = build_model(cfg, seed=0)
     optim.restore_params(model.params, arrays)

@@ -123,7 +123,7 @@ def _op_cases(rng):
     rmax = rng.standard_normal((n, m))
     rmax[np.arange(n), rng.integers(0, m, n)] += 1.0
     col_idx = rng.integers(0, n, size=m)
-    row_ids = rng.integers(0, 5, size=n)          # repeats allowed: scatter adds
+    row_ids = rng.integers(0, 5, size=n)          # repeats allowed: put adds
     L, cin, width, cout = 5, 2, 3, 2
     X = rng.standard_normal((L, cin))
     F = rng.standard_normal((width * cin, cout))
@@ -156,51 +156,60 @@ def _op_cases(rng):
         ("matvec", lambda a, x, _w=wsum((n,)): _w(ad.matvec(a, x)), [A, v]),
         ("outer", lambda a, b, _w=wsum((n, m)): _w(ad.outer(a, b)), [u, v]),
         ("dot", lambda a, b: ad.dot(a, b), [v, w]),
-        ("add_rowvec", lambda a, x: WA(ad.add_rowvec(a, x)), [A, v]),
-        ("sub_rowvec", lambda a, x: WA(ad.sub_rowvec(a, x)), [A, v]),
-        ("mul_rowvec", lambda a, x: WA(ad.mul_rowvec(a, x)), [A, v]),
-        ("mul_colvec", lambda a, x: WA(ad.mul_colvec(a, x)), [A, u]),
-        ("add_bscalar", lambda a, t: WA(ad.add_bscalar(a, t)), [A, s0]),
-        ("sub_bscalar", lambda a, t: WA(ad.sub_bscalar(a, t)), [A, s0]),
-        ("bfill", lambda t: WA(ad.bfill(t, (n, m))), [s0]),
-        ("repeat_row", lambda x: WA(ad.repeat_row(x, n)), [v]),
+        ("add_row_broadcast", lambda a, x: WA(ad.add(a, x)), [A, v]),
+        ("sub_row_broadcast", lambda a, x: WA(ad.sub(a, x)), [A, v]),
+        ("mul_row_broadcast", lambda a, x: WA(ad.mul(a, x)), [A, v]),
+        ("mul_col_broadcast", lambda a, x: WA(ad.mul(a, ad.reshape(x, (n, 1)))), [A, u]),
+        ("add_scalar_broadcast", lambda a, t: WA(ad.add(a, t)), [A, s0]),
+        ("sub_scalar_broadcast", lambda a, t: WA(ad.sub(a, t)), [A, s0]),
+        ("broadcast_to_scalar", lambda t: WA(ad.broadcast_to(t, (n, m))), [s0]),
+        ("broadcast_to_row", lambda x: WA(ad.broadcast_to(x, (n, m))), [v]),
         ("sum_all", lambda a: ad.sum_all(a), [A]),
         ("sum_axis0", lambda a, _w=wsum((m,)): _w(ad.sum_axis(a, 0)), [A]),
         ("sum_axis1", lambda a, _w=wsum((n,)): _w(ad.sum_axis(a, 1)), [A]),
         ("l1norm", lambda a: ad.l1norm(a), [off]),
         ("vec_max", lambda x: ad.vec_max(x), [vmax]),
         ("rows_max", lambda a, _w=wsum((m,)): _w(ad.rows_max(a)), [rmax]),
-        ("colwise_scatter",
-         lambda x, _w=wsum((n, m)): _w(ad.colwise_scatter(x, col_idx, n)), [v]),
-        ("colwise_gather",
-         lambda a, _w=wsum((m,)): _w(ad.colwise_gather(a, col_idx)), [A]),
+        ("put_colwise",
+         lambda x, _w=wsum((n, m)): _w(ad.put(x, (col_idx, np.arange(m)), (n, m))), [v]),
+        ("take_colwise",
+         lambda a, _w=wsum((m,)): _w(ad.take(a, (col_idx, np.arange(m)))), [A]),
         ("softmax_cols", lambda a: WA(ad.softmax(a, axis=0)), [A]),
         ("softmax_vec", lambda x, _w=wsum((m,)): _w(ad.softmax(x)), [v]),
-        ("slice1d", lambda x, _w=wsum((2,)): _w(ad.slice1d(x, 1, 3)), [v]),
-        ("pad1d", lambda x, _w=wsum((m + 3,)): _w(ad.pad1d(x, 2, 1)), [v]),
-        ("concat1d", lambda a, b, _w=wsum((n + m,)): _w(ad.concat1d([a, b])), [u, v]),
-        ("concat_cols",
-         lambda a, b, _w=wsum((n, 2 * m)): _w(ad.concat_cols([a, b])), [A, B]),
-        ("slice_cols", lambda a, _w=wsum((n, 2)): _w(ad.slice_cols(a, 1, 3)), [A]),
-        ("pad_cols", lambda a, _w=wsum((n, m + 3)): _w(ad.pad_cols(a, 1, 2)), [A]),
+        ("take_slice", lambda x, _w=wsum((2,)): _w(ad.take(x, slice(1, 3))), [v]),
+        ("put_slice", lambda x, _w=wsum((m + 3,)): _w(ad.put(x, slice(2, 2 + m), (m + 3,))), [v]),
+        ("concat_axis0", lambda a, b, _w=wsum((n + m,)): _w(ad.concat([a, b])), [u, v]),
+        ("concat_axis1",
+         lambda a, b, _w=wsum((n, 2 * m)): _w(ad.concat([a, b], axis=1)), [A, B]),
+        ("take_cols",
+         lambda a, _w=wsum((n, 2)): _w(ad.take(a, (slice(None), slice(1, 3)))), [A]),
+        ("put_cols",
+         lambda a, _w=wsum((n, m + 3)): _w(ad.put(a, (slice(None), slice(1, 1 + m)), (n, m + 3))),
+         [A]),
         ("stack_rows", lambda a, b, _w=wsum((2, m)): _w(ad.stack_rows([a, b])), [v, w]),
-        ("row", lambda a, _w=wsum((m,)): _w(ad.row(a, 1)), [A]),
-        ("row_scatter", lambda x, _w=wsum((n, m)): _w(ad.row_scatter(x, 1, n)), [v]),
-        ("pick", lambda x: ad.pick(x, 2), [v]),
-        ("onehot", lambda t, _w=wsum((m,)): _w(ad.onehot(t, 1, m)), [s0]),
-        ("gather_rows",
-         lambda a, _w=wsum((n, m)): _w(ad.gather_rows(a, row_ids)),
+        ("take_int_row", lambda a, _w=wsum((m,)): _w(ad.take(a, 1)), [A]),
+        ("put_int_row", lambda x, _w=wsum((n, m)): _w(ad.put(x, 1, (n, m))), [v]),
+        ("take_int", lambda x: ad.take(x, 2), [v]),
+        ("put_int", lambda t, _w=wsum((m,)): _w(ad.put(t, 1, (m,))), [s0]),
+        ("take_int_array",
+         lambda a, _w=wsum((n, m)): _w(ad.take(a, row_ids)),
          [rng.standard_normal((5, m))]),
-        ("scatter_rows",
-         lambda a, _w=wsum((5, m)): _w(ad.scatter_rows(a, row_ids, 5)), [A]),
-        ("pad_rows", lambda a, _w=wsum((n + 3, m)): _w(ad.pad_rows(a, 1, 2)), [A]),
-        ("slice_rows", lambda a, _w=wsum((2, m)): _w(ad.slice_rows(a, 1, 3)), [A]),
+        ("put_int_array",
+         lambda a, _w=wsum((5, m)): _w(ad.put(a, row_ids, (5, m))), [A]),
+        ("put_rows",
+         lambda a, _w=wsum((n + 3, m)): _w(ad.put(a, slice(1, 1 + n), (n + 3, m))), [A]),
+        ("take_rows", lambda a, _w=wsum((2, m)): _w(ad.take(a, slice(1, 3))), [A]),
         ("im2col",
          lambda x, _w=wsum((L - width + 1, width * cin)): _w(ad.im2col(x, width)),
          [X]),
         ("col2im", lambda a, _w=wsum((L, cin)): _w(ad.col2im(a, width)), [cols]),
         ("conv1d",
          lambda x, f, b, _w=wsum((L, cout)): _w(ad.conv1d(x, f, b)), [X, F, fb]),
+        # kept last: a new wsum draw would shift the weights of every later case
+        ("sum_to_row", lambda a, _w=wsum((m,)): _w(ad.sum_to(a, (m,))), [A]),
+        ("sum_to_col", lambda a, _w=wsum((n, 1)): _w(ad.sum_to(a, (n, 1))), [A]),
+        ("sum_to_scalar", lambda a: ad.sum_to(a, ()), [A]),
+        ("reshape", lambda a, _w=wsum((m, n)): _w(ad.reshape(a, (m, n))), [A]),
     ]
 
 
@@ -219,7 +228,7 @@ def _end_to_end_grad_check(seed):
     X0 = model.encode_bag(bag.sentences).data.copy()
     Xt = Tensor(X0.copy(), requires_grad=True)
     _, _, logits = model._bag_logits(Xt, bag.entity_i, bag.entity_j)
-    engine = ad.grad(ad.pick(logits, k), [Xt])[0].data
+    engine = ad.grad(ad.take(logits, k), [Xt])[0].data
 
     def logit_of(Xarr):
         _, _, lg = model._bag_logits(Tensor(Xarr), bag.entity_i, bag.entity_j)

@@ -236,6 +236,42 @@ class TestCheckpoint:
         assert code == EXIT_INVALID
         assert "invalid input" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("damage, cause", [
+        (lambda cfg: ["x"], "model config must be a JSON object"),
+        (lambda cfg: {**cfg, "encoder": 5}, "'encoder' must be dict"),
+        (lambda cfg: {**cfg, "encoder": [1]}, "'encoder' must be dict"),
+        (lambda cfg: {k: v for k, v in cfg.items() if k != "d_e"}, "missing key 'd_e'"),
+        (lambda cfg: {**cfg, "encoder": {k: v for k, v in cfg["encoder"].items()
+                                         if k != "d_w"}}, "encoder config is missing key 'd_w'"),
+        (lambda cfg: {**cfg, "dropout": 0.5}, "unknown key 'dropout'"),
+        (lambda cfg: {**cfg, "encoder": {**cfg["encoder"], "zz": 1}},
+         "encoder config has unknown key 'zz'"),
+        (lambda cfg: {**cfg, "n_relations": "3"}, "'n_relations' must be int"),
+        (lambda cfg: {**cfg, "fusion": 1}, "'fusion' must be bool"),
+        (lambda cfg: {**cfg, "repr_mode": "words"}, "'repr_mode' must be one of"),
+        (lambda cfg: {**cfg, "encoder": {**cfg["encoder"], "widths": [2, "3"]}},
+         "'widths' must be a list of ints"),
+        (lambda cfg: {**cfg, "encoder": {**cfg["encoder"], "channels": 4.0}},
+         "'channels' must be int"),
+        (None, "no model 'config'"),
+    ])
+    def test_eval_config_faults_exit_3(self, tiny_run, tmp_path, capsys, damage, cause):
+        ckpt = json.loads((tiny_run / "run" / "checkpoint.json").read_text())
+        if damage is None:
+            del ckpt["extra"]["config"]
+        else:
+            ckpt["extra"]["config"] = damage(ckpt["extra"]["config"])
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(ckpt))
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(path),
+                     "--corpus", str(tiny_run / "data" / "test.jsonl"),
+                     "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID
+        assert "invalid input" in err and "Traceback" not in err
+        assert cause in err
+
     def test_eval_accepts_undamaged_checkpoint(self, tiny_run, tmp_path):
         assert main(["eval", "--checkpoint", str(tiny_run / "run" / "checkpoint.json"),
                      "--corpus", str(tiny_run / "data" / "test.jsonl"),

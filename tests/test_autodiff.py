@@ -16,6 +16,11 @@ from relexpl.autodiff import GraphError, ShapeMismatchError, Tensor
 from conftest import check_grads, numeric_grad, rel_err
 
 
+def _squared(f):
+    """t -> sum(f(t) * f(t)), applying f twice so both paths reach t."""
+    return lambda t: ad.sum_all(ad.mul(f(t), f(t)))
+
+
 class TestElementwise:
     def test_add_mul_chain(self):
         rng = np.random.default_rng(0)
@@ -100,19 +105,23 @@ class TestBroadcast:
             v = rng.normal(size=3)
             w = rng.normal(size=4)
             s = rng.normal()
-            check_grads(lambda a, b: ad.sum_all(ad.add_rowvec(a, b)), [m, v])
-            check_grads(lambda a, b: ad.sum_all(ad.mul(ad.sub_rowvec(a, b), a)), [m, v])
-            check_grads(lambda a, b: ad.sum_all(ad.mul(ad.mul_rowvec(a, b), a)), [m, v])
-            check_grads(lambda a, b: ad.sum_all(ad.mul(ad.mul_colvec(a, b), a)), [m, w])
-            check_grads(lambda a, b: ad.sum_all(ad.mul(ad.add_bscalar(a, b), a)), [m, np.asarray(s)])
-            check_grads(lambda a, b: ad.sum_all(ad.mul(ad.sub_bscalar(a, b), a)), [m, np.asarray(s)])
+            check_grads(lambda a, b: ad.sum_all(ad.add(a, b)), [m, v])
+            check_grads(lambda a, b: ad.sum_all(ad.mul(ad.sub(a, b), a)), [m, v])
+            check_grads(lambda a, b: ad.sum_all(ad.mul(ad.mul(a, b), a)), [m, v])
+            check_grads(lambda a, b: ad.sum_all(ad.mul(ad.mul(a, ad.reshape(b, (4, 1))), a)),
+                        [m, w])
+            check_grads(lambda a, b: ad.sum_all(ad.mul(ad.add(a, b), a)), [m, np.asarray(s)])
+            check_grads(lambda a, b: ad.sum_all(ad.mul(ad.sub(a, b), a)), [m, np.asarray(s)])
+            # both operands broadcast: (4, 1) against (3,)
+            check_grads(lambda a, b: ad.sum_all(ad.mul(ad.mul(ad.reshape(a, (4, 1)), b), m)),
+                        [w, v])
 
     def test_repeat_row_bfill(self):
         rng = np.random.default_rng(8)
         v = rng.normal(size=3)
         s = np.asarray(rng.normal())
-        check_grads(lambda t: ad.sum_all(ad.mul(ad.repeat_row(t, 5), ad.repeat_row(t, 5))), [v])
-        check_grads(lambda t: ad.sum_all(ad.mul(ad.bfill(t, (2, 3)), ad.bfill(t, (2, 3)))), [s])
+        check_grads(_squared(lambda t: ad.broadcast_to(t, (5, 3))), [v])
+        check_grads(_squared(lambda t: ad.broadcast_to(t, (2, 3))), [s])
 
 
 class TestReductionsAndMax:
@@ -158,10 +167,10 @@ class TestStructure:
         for _ in range(20):
             v = rng.normal(size=8)
             u = rng.normal(size=3)
-            check_grads(lambda t: ad.sum_all(ad.mul(ad.slice1d(t, 2, 6), ad.slice1d(t, 2, 6))), [v])
-            check_grads(lambda t: ad.sum_all(ad.mul(ad.pad1d(t, 2, 1), ad.pad1d(t, 2, 1))), [u])
+            check_grads(_squared(lambda t: ad.take(t, slice(2, 6))), [v])
+            check_grads(_squared(lambda t: ad.put(t, slice(2, 5), (6,))), [u])
             check_grads(
-                lambda a, b: ad.sum_all(ad.mul(ad.concat1d([a, b]), ad.concat1d([a, b]))),
+                lambda a, b: ad.sum_all(ad.mul(ad.concat([a, b]), ad.concat([a, b]))),
                 [v, u],
             )
 
@@ -171,13 +180,15 @@ class TestStructure:
             m = rng.normal(size=(4, 6))
             n = rng.normal(size=(4, 2))
             check_grads(
-                lambda a, b: ad.sum_all(ad.mul(ad.concat_cols([a, b]), ad.concat_cols([a, b]))),
+                lambda a, b: ad.sum_all(ad.mul(ad.concat([a, b], axis=1),
+                                               ad.concat([a, b], axis=1))),
                 [m, n],
             )
-            check_grads(lambda t: ad.sum_all(ad.mul(ad.slice_cols(t, 1, 4), ad.slice_cols(t, 1, 4))), [m])
-            check_grads(lambda t: ad.sum_all(ad.mul(ad.pad_cols(t, 1, 2), ad.pad_cols(t, 1, 2))), [n])
-            check_grads(lambda t: ad.sum_all(ad.mul(ad.pad_rows(t, 2, 1), ad.pad_rows(t, 2, 1))), [m])
-            check_grads(lambda t: ad.sum_all(ad.mul(ad.slice_rows(t, 1, 3), ad.slice_rows(t, 1, 3))), [m])
+            cols, inner = (slice(None), slice(1, 4)), (slice(None), slice(1, 3))
+            check_grads(_squared(lambda t: ad.take(t, cols)), [m])
+            check_grads(_squared(lambda t: ad.put(t, inner, (4, 5))), [n])
+            check_grads(_squared(lambda t: ad.put(t, slice(2, 6), (7, 6))), [m])
+            check_grads(_squared(lambda t: ad.take(t, slice(1, 3))), [m])
 
     def test_stack_row_pick(self):
         rng = np.random.default_rng(15)
@@ -189,10 +200,11 @@ class TestStructure:
                 lambda x, y: ad.sum_all(ad.mul(ad.stack_rows([x, y]), ad.stack_rows([y, x]))),
                 [a, b],
             )
-            check_grads(lambda t: ad.dot(ad.row(t, 1), ad.row(t, 2)), [m])
-            check_grads(lambda t: ad.mul(ad.pick(t, 3), ad.pick(t, 0)), [a])
-            check_grads(lambda t: ad.sum_all(ad.mul(ad.row_scatter(t, 1, 4), ad.row_scatter(t, 1, 4))), [a])
-            check_grads(lambda t: ad.sum_all(ad.mul(ad.onehot(ad.pick(t, 0), 2, 6), ad.pad1d(t, 1, 0))), [a])
+            check_grads(lambda t: ad.dot(ad.take(t, 1), ad.take(t, 2)), [m])
+            check_grads(lambda t: ad.mul(ad.take(t, 3), ad.take(t, 0)), [a])
+            check_grads(_squared(lambda t: ad.put(t, 1, (4, 5))), [a])
+            check_grads(lambda t: ad.sum_all(ad.mul(ad.put(ad.take(t, 0), 2, (6,)),
+                                                    ad.put(t, slice(1, 6), (6,)))), [a])
 
     def test_transpose(self):
         rng = np.random.default_rng(16)
@@ -208,16 +220,16 @@ class TestGatherConv:
             table = rng.normal(size=(6, 4))
             ids = rng.integers(0, 6, size=9)
             c = rng.normal(size=(9, 4))
-            check_grads(lambda t: ad.sum_all(ad.mul(ad.gather_rows(t, ids), Tensor(c))), [table])
+            check_grads(lambda t: ad.sum_all(ad.mul(ad.take(t, ids), Tensor(c))), [table])
             m = rng.normal(size=(9, 4))
             check_grads(
-                lambda t: ad.sum_all(ad.mul(ad.scatter_rows(t, ids, 6), ad.scatter_rows(t, ids, 6))),
+                lambda t: ad.sum_all(ad.mul(ad.put(t, ids, (6, 4)), ad.put(t, ids, (6, 4)))),
                 [m],
             )
 
     def test_gather_rows_out_of_range(self):
         with pytest.raises(IndexError):
-            ad.gather_rows(Tensor(np.zeros((3, 2))), np.array([0, 3]))
+            ad.take(Tensor(np.zeros((3, 2))), np.array([0, 3]))
 
     def test_im2col_col2im_grads(self):
         rng = np.random.default_rng(18)
@@ -238,6 +250,52 @@ class TestGatherConv:
         lhs = np.sum(ad.im2col(Tensor(x), width).data * y)
         rhs = np.sum(x * ad.col2im(Tensor(y), width).data)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+    @given(st.sampled_from(["int", "slice", "slices", "rows", "colwise"]),
+           st.integers(1, 5), st.integers(1, 4), st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_take_put_adjoint(self, kind, n, d, seed):
+        """<take(x, i), y> == <x, put(y, i, x.shape)> for every index kind."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d))
+        index = {
+            "int": int(rng.integers(n)),
+            "slice": slice(int(rng.integers(n)), n),
+            "slices": (slice(0, int(rng.integers(1, n + 1))), slice(int(rng.integers(d)), d)),
+            "rows": rng.integers(0, n, size=n + 3),  # more ids than rows: repeats
+            "colwise": (rng.integers(0, n, size=d), np.arange(d)),
+        }[kind]
+        y = rng.normal(size=x[index].shape)
+        lhs = np.sum(ad.take(Tensor(x), index).data * y)
+        rhs = np.sum(x * ad.put(Tensor(y), index, x.shape).data)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+    @given(st.sampled_from([((3,), (4, 3)), ((), (2, 3)), ((4, 1), (4, 3)), ((1, 3), (2, 4, 3))]),
+           st.integers(0, 10 ** 6))
+    @settings(max_examples=30, deadline=None)
+    def test_broadcast_to_sum_to_adjoint(self, shapes, seed):
+        """<broadcast_to(x, s), y> == <x, sum_to(y, x.shape)>."""
+        src, dst = shapes
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=src)
+        y = rng.normal(size=dst)
+        lhs = np.sum(ad.broadcast_to(Tensor(x), dst).data * y)
+        rhs = np.sum(x * ad.sum_to(Tensor(y), src).data)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+    def test_take_rejects_negative_ids(self):
+        table = Tensor(np.zeros((3, 2)))
+        with pytest.raises(IndexError, match="negative"):
+            ad.take(table, np.array([0, -1]))
+        with pytest.raises(IndexError, match="negative"):
+            ad.take(table, (np.array([-2, 0]), np.arange(2)))
+
+    def test_broadcast_mismatch_names_op(self):
+        with pytest.raises(ShapeMismatchError) as exc:
+            ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
+        assert exc.value.kernel == "add"
+        assert (exc.value.shape_a, exc.value.shape_b) == ((2, 3), (2,))
+        assert "add" in str(exc.value)
 
     def test_conv1d_matches_direct_convolution(self):
         """Oracle: per-position windowed dot products computed with plain loops."""
@@ -393,7 +451,7 @@ def test_property_linear_ops_additivity(n, d, seed):
     x = rng.normal(size=(n, d))
     y = rng.normal(size=(n, d))
     for f in (
-        lambda m: ad.pad_rows(Tensor(m), 1, 2).data,
+        lambda m: ad.put(Tensor(m), slice(1, n + 1), (n + 3, d)).data,
         lambda m: ad.im2col(Tensor(np.vstack([m, m])), 2).data,
         lambda m: ad.sum_axis(Tensor(m), 0).data,
         lambda m: ad.transpose(Tensor(m)).data,

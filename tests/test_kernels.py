@@ -1,7 +1,6 @@
-"""Checks for the hot array kernels and the numpy/numba route agreement."""
+"""Checks for the array kernels of the tensor engine."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +11,7 @@ class TestNumpyReference:
     def test_im2col_small_case(self):
         # frozen by hand: rows are sliding windows, flattened time-major
         x = np.arange(8.0).reshape(4, 2)
-        out = kernels.im2col_numpy(x, 2)
+        out = kernels.im2col(x, 2)
         expected = np.array(
             [
                 [0.0, 1.0, 2.0, 3.0],
@@ -24,21 +23,21 @@ class TestNumpyReference:
 
     def test_col2im_small_case(self):
         g = np.ones((3, 4))
-        out = kernels.col2im_numpy(g, 2)
+        out = kernels.col2im(g, 2)
         # interior rows receive two overlapping windows
         expected = np.array([[1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
         np.testing.assert_array_equal(out, expected)
 
     def test_rows_max_values_and_ties(self):
         x = np.array([[1.0, 5.0], [4.0, 5.0], [4.0, 2.0]])
-        vals, idx = kernels.rows_max_numpy(x)
+        vals, idx = kernels.rows_max(x)
         np.testing.assert_array_equal(vals, [4.0, 5.0])
         np.testing.assert_array_equal(idx, [1, 0])  # ties go to the lowest row
 
     def test_scatter_add_rows_accumulates_duplicates(self):
         rows = np.array([[1.0, 2.0], [10.0, 20.0], [100.0, 200.0]])
         ids = np.array([1, 1, 0], dtype=np.int64)
-        out = kernels.scatter_add_rows_numpy(4, ids, rows)
+        out = kernels.scatter_add_rows(4, ids, rows)
         expected = np.array([[100.0, 200.0], [11.0, 22.0], [0.0, 0.0], [0.0, 0.0]])
         np.testing.assert_array_equal(out, expected)
 
@@ -50,69 +49,6 @@ def test_im2col_round_trip_identity(width, c, seed):
     rng = np.random.default_rng(seed)
     length = width + int(rng.integers(0, 6))
     x = rng.normal(size=(length, c))
-    folded = kernels.col2im_numpy(kernels.im2col_numpy(x, width), width)
+    folded = kernels.col2im(kernels.im2col(x, width), width)
     coverage = np.array([min(t, length - width, width - 1, length - 1 - t) + 1 for t in range(length)])
     np.testing.assert_allclose(folded, x * coverage[:, None], rtol=1e-12)
-
-
-class TestRouteAgreement:
-    """The compiled and numpy routes must agree bit-for-bit on the same inputs."""
-
-    @staticmethod
-    def _pairs():
-        return [
-            (kernels.im2col, kernels.im2col_numpy),
-            (kernels.col2im, kernels.col2im_numpy),
-        ]
-
-    def test_im2col_routes_match(self):
-        rng = np.random.default_rng(42)
-        for _ in range(10):
-            x = rng.normal(size=(int(rng.integers(4, 12)), int(rng.integers(1, 5))))
-            w = int(rng.integers(1, min(4, x.shape[0]) + 1))
-            np.testing.assert_array_equal(kernels.im2col(x, w), kernels.im2col_numpy(x, w))
-
-    def test_col2im_routes_match(self):
-        rng = np.random.default_rng(43)
-        for _ in range(10):
-            w = int(rng.integers(1, 4))
-            c = int(rng.integers(1, 5))
-            n = int(rng.integers(1, 8))
-            g = rng.normal(size=(n, w * c))
-            np.testing.assert_array_equal(kernels.col2im(g, w), kernels.col2im_numpy(g, w))
-
-    def test_rows_max_routes_match(self):
-        rng = np.random.default_rng(44)
-        for _ in range(10):
-            x = rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 6))))
-            v1, i1 = kernels.rows_max(x)
-            v2, i2 = kernels.rows_max_numpy(x)
-            np.testing.assert_array_equal(v1, v2)
-            np.testing.assert_array_equal(i1, i2)
-
-    def test_scatter_routes_match(self):
-        rng = np.random.default_rng(45)
-        for _ in range(10):
-            n_rows = int(rng.integers(2, 8))
-            k = int(rng.integers(1, 10))
-            ids = rng.integers(0, n_rows, size=k)
-            rows = rng.normal(size=(k, 3))
-            np.testing.assert_array_equal(
-                kernels.scatter_add_rows(n_rows, ids, rows),
-                kernels.scatter_add_rows_numpy(n_rows, ids, rows),
-            )
-
-
-def test_env_flag_reported():
-    assert isinstance(kernels.USING_NUMBA, bool)
-
-
-def test_numba_disabled_by_env(monkeypatch):
-    monkeypatch.setenv("RELEXPL_NUMBA", "0")
-    assert kernels.numba_disabled_by_env()
-    monkeypatch.setenv("RELEXPL_NUMBA", "off")
-    assert kernels.numba_disabled_by_env()
-    monkeypatch.setenv("RELEXPL_NUMBA", "1")
-    assert not kernels.numba_disabled_by_env()
-    monkeypatch.delenv("RELEXPL_NUMBA")
-    assert not kernels.numba_disabled_by_env()

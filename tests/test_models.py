@@ -83,7 +83,7 @@ class TestRelevanceWeights:
 class TestDirectSupBagRep:
     def test_hand_elementwise_max(self):
         # weighted rows (2,0) and (2,2) -> max (2,2)
-        weighted = ad.mul_colvec(Tensor([[2.0, 0.0], [4.0, 4.0]]), Tensor([1.0, 0.5]))
+        weighted = ad.mul(Tensor([[2.0, 0.0], [4.0, 4.0]]), Tensor([[1.0], [0.5]]))
         rep = ad.rows_max(weighted)
         np.testing.assert_allclose(rep.data, [2.0, 2.0], rtol=1e-12)
 
@@ -250,7 +250,7 @@ class TestFusion:
         model = self.fused_model(kind="cnns-att", seed=2)
         fwd = model.forward_bag(make_bag(n_sent=3, entities=(1, 2)))
         for k in range(3):
-            via_vec = model._fuse_vec(ad.row(fwd.reps, k), 1, 2)
+            via_vec = model._fuse_vec(ad.take(fwd.reps, k), 1, 2)
             via_logit = (via_vec.data @ model.params["head.rel"].data[k]
                          + model.params["head.bias"].data[k])
             np.testing.assert_allclose(fwd.logits.data[k], via_logit, rtol=1e-10)
