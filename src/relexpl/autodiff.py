@@ -20,6 +20,10 @@ Design notes:
     and elements, embedding lookups and their scatters) is one of the two.
   * Max-style ops (rows_max, vec_max) break ties toward the lowest index
     and treat the winner selection as constant during differentiation.
+  * sigmoid, softmax and reciprocal differentiate through their own
+    output; their VJPs hold it by weak reference (a VJP only runs while its
+    node is alive), so a graph holds no reference cycle and is freed as
+    soon as its root is dropped, without the cyclic garbage collector.
   * A graph is "consumed" by backward(); call it twice on the same root
     and you get a GraphError. The functional grad() helper does not
     consume anything and may be called repeatedly.
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 
 import numpy as np
 
@@ -52,7 +57,8 @@ class GraphError(RuntimeError):
 class Tensor:
     """Dense float64 array participating in a differentiable graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op", "_backward_used")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op", "_backward_used",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -201,9 +207,11 @@ def sigmoid(a) -> Tensor:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     node = _node(out, (a,), None, "sigmoid")
+    ref = weakref.ref(node)
 
     def vjp(g):
-        d = mul(node, cadd(neg(node), 1.0))  # y * (1 - y), kept in-graph
+        y = ref()
+        d = mul(y, cadd(neg(y), 1.0))  # y * (1 - y), kept in-graph
         return (mul(g, d),)
 
     node._vjp = vjp
@@ -218,7 +226,8 @@ def log(a) -> Tensor:
 def reciprocal(a) -> Tensor:
     a = _as_tensor(a)
     node = _node(1.0 / a.data, (a,), None, "reciprocal")
-    node._vjp = lambda g: (neg(mul(g, mul(node, node))),)
+    ref = weakref.ref(node)
+    node._vjp = lambda g: (neg(mul(g, mul(ref(), ref()))),)
     return node
 
 
@@ -373,7 +382,13 @@ def softmax(a, axis: int = 0) -> Tensor:
         reduce = lambda t: sum_axis(t, 0)  # noqa: E731
     else:
         raise ShapeMismatchError("softmax", a.shape, (axis,))
-    node._vjp = lambda g: (mul(node, sub(g, reduce(mul(g, node)))),)
+    ref = weakref.ref(node)
+
+    def vjp(g):
+        y = ref()
+        return (mul(y, sub(g, reduce(mul(g, y)))),)
+
+    node._vjp = vjp
     return node
 
 

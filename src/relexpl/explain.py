@@ -14,11 +14,21 @@ chosen relation k:
 Attribution happens at the sentence-encoding level (the vectors the bag
 pooling consumes), not at token embeddings. Scoring never mutates the
 model: gradients are taken functionally.
+
+explain_corpus runs each positive bag forward once and every (relation,
+method) pair reads that forward: attention its weights, saliency and gi
+a gradient taken on its graph, and loo a re-pooling of its cached
+encoding stack without each sentence. Sentence encodings do not interact,
+so the re-pooled logits are exactly those of a fresh forward over the
+remaining sentences, and leave-one-out costs one encoding per sentence
+(linear in bag size) rather than a re-encoding of the bag per sentence.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,35 +64,51 @@ def gi_vector(fwd: BagForward, k: int) -> Tensor:
     return ad.sum_axis(ad.mul(gX, fwd.X), 1)
 
 
-def saliency(model: RelationModel, bag: Bag, k: int) -> np.ndarray:
+def _shared_forward(model: RelationModel, bag: Bag, k: int,
+                    fwd: BagForward | None) -> BagForward:
+    """Check k, then reuse the bag's forward, running it only if none is given."""
     model._check_k(k)
-    fwd = model.forward_bag(bag)
-    gX = encoding_gradient(fwd, k)
+    return model.forward_bag(bag) if fwd is None else fwd
+
+
+def saliency(model: RelationModel, bag: Bag, k: int,
+             fwd: BagForward | None = None) -> np.ndarray:
+    gX = encoding_gradient(_shared_forward(model, bag, k, fwd), k)
     return np.sum(np.abs(gX.data), axis=1)
 
 
-def grad_input(model: RelationModel, bag: Bag, k: int) -> np.ndarray:
-    model._check_k(k)
-    fwd = model.forward_bag(bag)
-    return gi_vector(fwd, k).data.copy()
+def grad_input(model: RelationModel, bag: Bag, k: int,
+               fwd: BagForward | None = None) -> np.ndarray:
+    return gi_vector(_shared_forward(model, bag, k, fwd), k).data.copy()
 
 
-def leave_one_out(model: RelationModel, bag: Bag, k: int) -> np.ndarray:
-    """o_k minus the logit of a fresh forward pass without each sentence."""
-    model._check_k(k)
+def leave_one_out(model: RelationModel, bag: Bag, k: int,
+                  fwd: BagForward | None = None) -> np.ndarray:
+    """o_k minus the logit of the bag re-pooled without each sentence.
+
+    The cached encoding stack is re-pooled without row n; a singleton bag
+    falls back to the empty selection. Sentence encodings do not depend on
+    each other, so this equals a fresh forward pass over the other
+    sentences bit for bit, at one pooling per sentence instead of one
+    re-encoding of the bag.
+    """
+    fwd = _shared_forward(model, bag, k, fwd)
     n = len(bag.sentences)
-    o_full = float(model.forward_bag(bag).logits.data[k])
+    o_full = float(fwd.logits.data[k])
     scores = np.zeros(n)
     for drop in range(n):
-        keep = [i for i in range(n) if i != drop]
-        o_minus = float(model.forward_bag(bag, include=keep).logits.data[k])
-        scores[drop] = o_full - o_minus
+        if n == 1:
+            logits = model._empty_logits(bag.entity_i, bag.entity_j)
+        else:
+            keep = np.delete(np.arange(n), drop)
+            _, _, logits = model._bag_logits(ad.take(fwd.X, keep), bag.entity_i, bag.entity_j)
+        scores[drop] = o_full - float(logits.data[k])
     return scores
 
 
-def attention_explanation(model: RelationModel, bag: Bag, k: int) -> np.ndarray:
-    model._check_k(k)
-    alphas = model.forward_bag(bag).alphas
+def attention_explanation(model: RelationModel, bag: Bag, k: int,
+                          fwd: BagForward | None = None) -> np.ndarray:
+    alphas = _shared_forward(model, bag, k, fwd).alphas
     if isinstance(model, DirectSupModel):
         return alphas.data.copy()  # relation-independent weights
     return alphas.data[:, k].copy()
@@ -96,10 +122,12 @@ _DISPATCH = {
 }
 
 
-def explain_bag(model: RelationModel, bag: Bag, k: int, method: str) -> ImportanceScores:
+def explain_bag(model: RelationModel, bag: Bag, k: int, method: str,
+                fwd: BagForward | None = None) -> ImportanceScores:
+    """Scores of one method for (bag, k); fwd, if given, is model.forward_bag(bag)."""
     if method not in _DISPATCH:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    scores = _DISPATCH[method](model, bag, k)
+    scores = _DISPATCH[method](model, bag, k, fwd)
     return ImportanceScores(
         bag_id=bag.bag_id, relation=k, method=method,
         scores=tuple(float(v) for v in scores),
@@ -108,12 +136,19 @@ def explain_bag(model: RelationModel, bag: Bag, k: int, method: str) -> Importan
 
 def explain_corpus(model: RelationModel, bags: Sequence[Bag],
                    methods: Sequence[str] = METHODS) -> list[ImportanceScores]:
-    """Scores for every (positive bag, labeled relation, method)."""
+    """Scores for every (positive bag, labeled relation, method).
+
+    Each positive bag is run forward once; every relation and method reads
+    that forward.
+    """
     out = []
     for bag in bags:
+        if not bag.relations:
+            continue
+        fwd = model.forward_bag(bag)
         for k in sorted(bag.relations):
             for method in methods:
-                out.append(explain_bag(model, bag, k, method))
+                out.append(explain_bag(model, bag, k, method, fwd))
     return out
 
 
@@ -125,24 +160,52 @@ def write_scores(path: str, scores: Sequence[ImportanceScores], meta: dict | Non
             fh.write(json.dumps(
                 {"bag_id": s.bag_id, "relation": s.relation, "method": s.method,
                  "scores": list(s.scores)},
-                sort_keys=True,
+                sort_keys=True, allow_nan=False,
             ) + "\n")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)  # JSON true is no relation id
+
+
+# field -> (check, what the field must be)
+_ROW_FIELDS = {
+    "bag_id": (lambda v: isinstance(v, str), "a string"),
+    "relation": (_is_int, "an integer"),
+    "method": (lambda v: isinstance(v, str), "a string"),
+    "scores": (lambda v: isinstance(v, list) and all(
+        (_is_int(x) or isinstance(x, float)) and math.isfinite(x) for x in v),
+        "a list of finite numbers"),
+}
+
+
 def load_scores(path: str) -> list[ImportanceScores]:
+    """Read a scores file; a malformed row raises ValueError naming its line and field."""
     out = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            where = f"{path} line {lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: not JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{where}: a score row must be a JSON object")
             if "_header" in obj:
                 continue
+            for name, (ok, what) in _ROW_FIELDS.items():
+                if name not in obj:
+                    raise ValueError(f"{where}: missing field {name!r}")
+                if not ok(obj[name]):
+                    raise ValueError(f"{where}: field {name!r} must be {what}, "
+                                     f"got {reprlib.repr(obj[name])}")
             out.append(ImportanceScores(
-                bag_id=str(obj["bag_id"]),
-                relation=int(obj["relation"]),
-                method=str(obj["method"]),
+                bag_id=obj["bag_id"],
+                relation=obj["relation"],
+                method=obj["method"],
                 scores=tuple(float(v) for v in obj["scores"]),
             ))
     return out

@@ -170,12 +170,18 @@ class RelationModel:
     # -- forward ------------------------------------------------------------
 
     def _bag_logits(self, X: Tensor, entity_i: int, entity_j: int) -> tuple[Tensor, Tensor, Tensor]:
-        """Return (alphas, pre-fusion reps, logits) for a nonempty encoding stack."""
+        """Return (alphas, pre-fusion reps, logits) for a nonempty encoding stack.
+
+        Pooling reads nothing but X and the entity pair, so a subset of the
+        rows of a cached stack re-pools to exactly the logits of a fresh
+        forward over those sentences; leave-one-out explanations rely on it.
+        """
         raise NotImplementedError
 
     def _empty_logits(self, entity_i: int, entity_j: int) -> Tensor:
         """Logits for an empty sentence selection: the bag representation is
-        the zero vector (fusion still applies when enabled)."""
+        the zero vector (fusion still applies when enabled). Leave-one-out
+        scores a singleton bag's only sentence against these."""
         rep = Tensor(np.zeros(self.cfg.encoder.out_dim))
         if self.cfg.fusion:
             rep = self._fuse_vec(rep, entity_i, entity_j)

@@ -236,6 +236,33 @@ class TestExplEval:
                      "--out", str(tmp_path / "k")]) == EXIT_INVALID
 
 
+    GOOD_ROW = '{"bag_id": "b0", "method": "gi", "relation": 0, "scores": [0.5, 1.0]}'
+
+    @pytest.mark.parametrize("row,field", [
+        ('{"bag_id": "b0", "method": "gi", "relation": 0, "scores": 5}', "scores"),
+        ('{"bag_id": "b0", "method": "gi", "relation": null, "scores": [1.0]}', "relation"),
+        ("[1, 2]", "object"),
+        ('{"bag_id": "b0", "method": "gi", "relation": 0, "scores": [NaN, 1.0]}', "scores"),
+        ('{"bag_id": "b0", "method": "gi", "relation": 0, "scores": [Infinity]}', "scores"),
+        ('{"bag_id": "b0", "method": "gi", "relation": 0, "scores": ["1.0"]}', "scores"),
+        ('{"bag_id": "b0", "method": "gi", "relation": true, "scores": [1.0]}', "relation"),
+        ('{"bag_id": 7, "method": "gi", "relation": 0, "scores": [1.0]}', "bag_id"),
+        ('{"bag_id": "b0", "relation": 0, "scores": [1.0]}', "method"),
+        ('{"bag_id": "b0", "method": "gi"', "JSON"),
+    ], ids=["scores-int", "relation-null", "list-row", "scores-nan", "scores-inf",
+            "scores-str", "relation-bool", "bag-id-int", "method-missing", "truncated"])
+    def test_bad_score_row_exits_3_naming_line_and_field(self, workspace, tmp_path,
+                                                        capsys, row, field):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(self.GOOD_ROW + "\n" + row + "\n")
+        assert main(["expl-eval", "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                     "--corpus", str(workspace / "data" / "test.jsonl"),
+                     "--scores", str(scores),
+                     "--out", str(tmp_path / "k")]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "line 2" in err and field in err
+
+
 class TestAugment:
     def test_augmented_bags_round_trip(self, workspace, tmp_path):
         out = tmp_path / "aug"

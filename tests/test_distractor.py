@@ -2,6 +2,8 @@
 through the gradient-of-gradient, sampling distribution statistics, and
 mention-substitution postconditions."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,15 @@ from relexpl.distractor import (
 )
 from relexpl.encoder import EncoderConfig
 from relexpl.explain import gi_vector
-from relexpl.models import CnnsAttModel, DirectSupModel, ModelConfig
+from relexpl.models import (
+    CnnsAttModel,
+    DirectSupModel,
+    ModelConfig,
+    bce_loss,
+    label_vector,
+    relevance_loss,
+)
+from relexpl.optim import Adam
 
 from conftest import check_param_grads
 
@@ -325,3 +335,28 @@ class TestSecondOrderGradients:
         targets = [model.params["att.query"], model.params["att.diag"]]
         grads = ad.grad(loss, targets)
         assert any(np.abs(g.data).max() > 0 for g in grads)
+
+
+class TestNoReferenceCycles:
+    @pytest.mark.parametrize("kind", ["cnns-att", "directsup"])
+    def test_ld_training_step_leaves_no_cycles(self, kind):
+        # the step of training.train_model under --ld: its first- and
+        # second-order graph is freed by reference counting alone
+        model, aug = TestAugmentedLoss().fixtures(kind=kind)
+        base = aug.base
+        opt = Adam(model.trainable_params(), lr=0.01)
+        gc.collect()
+        gc.disable()
+        try:
+            fwd = model.forward_bag(base)
+            loss = bce_loss(fwd.logits, label_vector(base, model.cfg.n_relations))
+            if kind == "directsup":
+                loss = ad.add(loss, relevance_loss(
+                    fwd.alphas, [s.relevance_label for s in base.sentences]))
+            loss = combined_loss(loss, [augmented_bag_loss(model, aug, 1e-5)], 1.0)
+            loss.backward()
+            opt.step()
+            del fwd, loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -1,7 +1,9 @@
 """Explanation checks: analytic hand values on surgically linear models,
 finite-difference oracles for the gradient methods, an independent
-two-pass oracle for leave-one-out, and the no-mutation guarantee."""
+two-pass oracle for leave-one-out, the no-mutation guarantee, and the
+one-forward-per-bag sharing of explain_corpus."""
 
+import gc
 import math
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from relexpl import autodiff as ad
 from relexpl.autodiff import Tensor
 from relexpl.corpus import Bag, ReprMode, Sentence
-from relexpl.encoder import EncoderConfig
+from relexpl.encoder import EncoderConfig, SentenceEncoder
 from relexpl.explain import (
     METHODS,
     ImportanceScores,
@@ -25,7 +27,13 @@ from relexpl.explain import (
     saliency,
     write_scores,
 )
-from relexpl.models import BagForward, CnnsAttModel, DirectSupModel, ModelConfig
+from relexpl.models import (
+    BagForward,
+    CnnsAttModel,
+    DirectSupModel,
+    ModelConfig,
+    RelationModel,
+)
 
 
 def model_cfg(kind="cnns-att", K=2, fusion=False, n_entities=0,
@@ -307,11 +315,126 @@ class TestDispatchAndIO:
         loaded = load_scores(path)
         assert loaded == scores
 
+    def test_non_finite_scores_not_written(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_scores(str(tmp_path / "scores.jsonl"),
+                         [ImportanceScores("b0", 0, "gi", (math.nan, 1.0))])
+
     def test_scores_file_without_header_loads(self, tmp_path):
         path = str(tmp_path / "scores.jsonl")
         scores = [ImportanceScores("b0", 1, "gi", (0.5, -0.25))]
         write_scores(path, scores)
         assert load_scores(path) == scores
+
+
+def without(bag, n):
+    """An independently rebuilt bag missing sentence n."""
+    return Bag(bag_id=bag.bag_id, entity_i=bag.entity_i, entity_j=bag.entity_j,
+               fget_i=bag.fget_i, fget_j=bag.fget_j, relations=bag.relations,
+               sentences=tuple(s for i, s in enumerate(bag.sentences) if i != n))
+
+
+def shaped_bag(shape):
+    """Bags of 1, 2 and 16 sentences; "16dup" repeats sentence 0 as sentence 9."""
+    bag = make_bag(n_sent=16 if shape == "16dup" else int(shape),
+                   relations=frozenset({0, 2}), seed=13)
+    if shape == "16dup":
+        sentences = list(bag.sentences)
+        sentences[9] = sentences[0]
+        bag = Bag(bag.bag_id, bag.entity_i, bag.entity_j, bag.fget_i, bag.fget_j,
+                  bag.relations, tuple(sentences))
+    return bag
+
+
+SHARED_CASES = [
+    pytest.param(cls, kind, fusion, shape, id=f"{kind}-fusion{int(fusion)}-{shape}")
+    for cls, kind in ((DirectSupModel, "directsup"), (CnnsAttModel, "cnns-att"))
+    for fusion in (False, True)
+    for shape in ("1", "2", "16", "16dup")
+]
+
+
+class TestSharedForward:
+    """explain_corpus runs one forward per bag; every method reading it must
+    give exactly what a standalone call, and for loo a fresh forward over
+    the remaining sentences, gives."""
+
+    def model(self, cls, kind, fusion):
+        cfg = model_cfg(kind=kind, K=3, fusion=fusion, n_entities=4 if fusion else 0,
+                        widths=(2, 3), channels=2)
+        return cls(cfg, seed=11)
+
+    @pytest.mark.parametrize("cls,kind,fusion,shape", SHARED_CASES)
+    def test_loo_equals_fresh_bag_oracle(self, cls, kind, fusion, shape):
+        model = self.model(cls, kind, fusion)
+        bag = shaped_bag(shape)
+        fwd = model.forward_bag(bag)
+        for k in range(3):
+            o_full = model.predict_k(bag, k)[1]
+            oracle = [o_full - model.predict_k(without(bag, n), k)[1]
+                      for n in range(len(bag.sentences))]
+            assert leave_one_out(model, bag, k, fwd).tolist() == oracle
+            assert leave_one_out(model, bag, k).tolist() == oracle
+
+    @pytest.mark.parametrize("cls,kind,fusion,shape", SHARED_CASES)
+    def test_corpus_rows_equal_standalone_calls(self, cls, kind, fusion, shape):
+        model = self.model(cls, kind, fusion)
+        bag = shaped_bag(shape)
+        before = {n: p.data.tobytes() for n, p in model.params.items()}
+        rows = explain_corpus(model, [bag])
+        standalone = {"attention": attention_explanation, "saliency": saliency,
+                      "gi": grad_input, "loo": leave_one_out}
+        assert [(r.relation, r.method) for r in rows] == \
+            [(k, m) for k in (0, 2) for m in METHODS]
+        for r in rows:
+            np.testing.assert_array_equal(
+                r.scores, standalone[r.method](model, bag, r.relation))
+        for n, p in model.params.items():
+            assert p.data.tobytes() == before[n]
+
+    def test_relation_out_of_range_rejected_with_shared_forward(self):
+        model = CnnsAttModel(model_cfg(K=2), seed=0)
+        bag = make_bag(n_sent=3, relations=frozenset({5}))
+        with pytest.raises(ValueError, match="out of range"):
+            explain_corpus(model, [bag])
+        fwd = model.forward_bag(bag)
+        for method in METHODS:
+            with pytest.raises(ValueError, match="out of range"):
+                explain_bag(model, bag, 5, method, fwd)
+
+    def test_one_forward_and_one_encoding_per_sentence(self, monkeypatch):
+        # all four methods on a 16-sentence, single-relation bag: quadratic
+        # leave-one-out would re-encode the bag once per sentence
+        calls = {"encode": 0, "forward": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(SentenceEncoder, "encode",
+                            counted("encode", SentenceEncoder.encode))
+        monkeypatch.setattr(RelationModel, "forward_sentences",
+                            counted("forward", RelationModel.forward_sentences))
+        model = CnnsAttModel(model_cfg(K=2), seed=0)
+        explain_corpus(model, [make_bag(n_sent=16, relations=frozenset({1}))])
+        assert calls == {"encode": 16, "forward": 1}
+
+    @pytest.mark.parametrize("cls,kind", [
+        (DirectSupModel, "directsup"), (CnnsAttModel, "cnns-att"),
+    ])
+    def test_explain_pass_leaves_no_reference_cycles(self, cls, kind):
+        # graphs are freed by reference counting alone
+        model = cls(model_cfg(kind=kind, fusion=True, n_entities=4), seed=9)
+        bag = make_bag(n_sent=4, relations=frozenset({0, 1}))
+        gc.collect()
+        gc.disable()
+        try:
+            explain_corpus(model, [bag])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestDegenerateSaliency:
