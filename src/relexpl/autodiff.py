@@ -1,10 +1,17 @@
 """Minimal reverse-mode tensor engine.
 
 Every operation records its inputs and a VJP rule; the VJP rules are built
-out of the same operations, so gradients are themselves differentiable
+out of the same operations, so gradients can themselves be differentiable
 graphs. That property is load-bearing: the distractor training loss
 backpropagates through gradient-x-input values, which requires
 second-order derivatives.
+
+grad(root, wrt, create_graph=True) returns such differentiable gradients.
+With create_graph=False the VJPs run with recording off: every op still
+computes the same numpy result, but its output is a bare tensor with no
+parents and no VJP, so no graph of the backward pass is built or kept.
+backward() always works that way, since nothing differentiates the
+gradients it accumulates into .grad.
 
 Design notes:
   * float64 everywhere; gradient checking demands the precision.
@@ -24,6 +31,9 @@ Design notes:
     output; their VJPs hold it by weak reference (a VJP only runs while its
     node is alive), so a graph holds no reference cycle and is freed as
     soon as its root is dropped, without the cyclic garbage collector.
+  * Recording is one module-level flag that _node reads; grad sets it
+    for the duration of its VJP calls and restores it in a finally, so a
+    VJP that raises leaves recording as it was.
   * A graph is "consumed" by backward(); call it twice on the same root
     and you get a GraphError. The functional grad() helper does not
     consume anything and may be called repeatedly.
@@ -107,11 +117,17 @@ class Tensor:
         return f"Tensor(op={self._op}, shape={self.shape})"
 
 
+# False while grad(create_graph=False) runs its VJPs: _node then records nothing
+_recording = True
+
+
 def _node(data, parents, vjp, op: str) -> Tensor:
     out = Tensor(data)
+    out._op = op
+    if not _recording:
+        return out
     out._parents = tuple(parents)
     out._vjp = vjp
-    out._op = op
     for p in parents:  # a loop: no generator per node
         if p.requires_grad:
             out.requires_grad = True
@@ -226,8 +242,9 @@ def log(a) -> Tensor:
 def reciprocal(a) -> Tensor:
     a = _as_tensor(a)
     node = _node(1.0 / a.data, (a,), None, "reciprocal")
-    ref = weakref.ref(node)
-    node._vjp = lambda g: (neg(mul(g, mul(ref(), ref()))),)
+    if _recording:  # log's VJP builds this op; unrecorded, it keeps no VJP
+        ref = weakref.ref(node)
+        node._vjp = lambda g: (neg(mul(g, mul(ref(), ref()))),)
     return node
 
 
@@ -523,13 +540,18 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def grad(root: Tensor, wrt, allow_unused: bool = True) -> list[Tensor]:
-    """Gradients of a scalar root w.r.t. each tensor in wrt, as graph tensors.
+def grad(root: Tensor, wrt, allow_unused: bool = True,
+         create_graph: bool = True) -> list[Tensor]:
+    """Gradients of a scalar root w.r.t. each tensor in wrt.
 
-    The returned tensors are differentiable, so expressions built from them
-    (gradient-x-input, saliency-style penalties) can be backpropagated in
-    turn. Tensors that do not participate in the graph get zeros.
+    With create_graph (the default) the returned tensors are graph nodes,
+    so expressions built from them (gradient-x-input, saliency-style
+    penalties) can be backpropagated in turn. With create_graph=False the
+    VJPs run unrecorded and return bare tensors holding the same values,
+    bit for bit, at the cost of a first-order pass only. Tensors that do
+    not participate in the graph get zeros.
     """
+    global _recording
     if root.size != 1:
         raise GraphError(f"grad root must be scalar, got shape {root.shape}")
     wrt = list(wrt)
@@ -542,18 +564,23 @@ def grad(root: Tensor, wrt, allow_unused: bool = True) -> list[Tensor]:
         needed[id(node)] = id(node) in target_ids or any(needed[id(p)] for p in node._parents)
 
     grads: dict[int, Tensor] = {id(root): Tensor(np.ones_like(root.data))}
-    for node in reversed(order):
-        g = grads.get(id(node))
-        if g is None or node._vjp is None:
-            continue
-        if not any(needed[id(p)] for p in node._parents):
-            continue
-        contribs = node._vjp(g)
-        for p, c in zip(node._parents, contribs):
-            if c is None or not needed[id(p)]:
+    was_recording = _recording
+    _recording = bool(create_graph)
+    try:
+        for node in reversed(order):
+            g = grads.get(id(node))
+            if g is None or node._vjp is None:
                 continue
-            prev = grads.get(id(p))
-            grads[id(p)] = c if prev is None else add(prev, c)
+            if not any(needed[id(p)] for p in node._parents):
+                continue
+            contribs = node._vjp(g)
+            for p, c in zip(node._parents, contribs):
+                if c is None or not needed[id(p)]:
+                    continue
+                prev = grads.get(id(p))
+                grads[id(p)] = c if prev is None else add(prev, c)
+    finally:
+        _recording = was_recording
 
     out = []
     for t in wrt:
@@ -569,7 +596,8 @@ def grad(root: Tensor, wrt, allow_unused: bool = True) -> list[Tensor]:
 def backward(root: Tensor):
     """Accumulate d(root)/d(leaf) into .grad for every requires_grad leaf.
 
-    root must be scalar; a graph can be consumed only once.
+    root must be scalar; a graph can be consumed only once. The gradients
+    are taken with create_graph=False: backward builds no graph.
     """
     if root.size != 1:
         raise GraphError(f"backward root must be scalar, got shape {root.shape}")
@@ -578,7 +606,7 @@ def backward(root: Tensor):
     root._backward_used = True
     order = _topo_order(root)
     leaves = [n for n in order if not n._parents and n.requires_grad]
-    for leaf, g in zip(leaves, grad(root, leaves)):
+    for leaf, g in zip(leaves, grad(root, leaves, create_graph=False)):
         if leaf.grad is None:
             leaf.grad = np.zeros_like(leaf.data)
         leaf.grad += g.data

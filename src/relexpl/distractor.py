@@ -14,6 +14,13 @@ the distractor's attribution near zero (absolute-value term):
 GI here is gradient-times-input, which itself contains a gradient of the
 logit; training on this loss therefore differentiates through that
 gradient, which the tensor engine supports.
+
+The augmented forward reuses the base bag's encodings: augmented_bag_loss
+takes the BagForward that the BCE loss ran, encodes only the distractor,
+appends its row to the cached stack and pools the N + 1 rows again. A
+training step on a bag of N sentences with R labeled relations thus
+encodes N + R sentences, and the backward pass crosses each base
+encoding once.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Bag, Sentence
 from .explain import gi_vector
-from .models import RelationModel
+from .models import BagForward, RelationModel
 
 
 class DistractorError(RuntimeError):
@@ -155,12 +162,30 @@ def distractor_loss(gi_original: Tensor, gi_distractor: Tensor, gamma: float) ->
     return ad.add(hinge, ad.absolute(gi_distractor))
 
 
-def augmented_bag_loss(model: RelationModel, aug: AugmentedBag, gamma: float) -> Tensor:
-    """Distractor loss for one (bag, relation) via a single augmented forward."""
-    sentences = list(aug.base.sentences) + [aug.distractor]
-    fwd = model.forward_sentences(sentences, aug.base.entity_i, aug.base.entity_j)
-    gi = gi_vector(fwd, aug.relation)
-    n = len(aug.base.sentences)
+def augmented_bag_loss(model: RelationModel, aug: AugmentedBag, gamma: float,
+                       fwd: BagForward | None = None) -> Tensor:
+    """Distractor loss for one (bag, relation) from the base bag's encodings.
+
+    fwd, if given, is model.forward_bag(aug.base), the forward the BCE loss
+    already ran; without it the base bag is run forward here. Only the
+    distractor is encoded: its row is appended to the cached stack fwd.X
+    and the N + 1 rows are pooled again. Sentence encodings do not
+    interact, so the logits and the loss equal those of one forward over
+    the augmented bag bit for bit, while the base encodings are computed,
+    and backpropagated, once per training step.
+    """
+    base = aug.base
+    if fwd is None:
+        fwd = model.forward_bag(base)
+    n = len(base.sentences)
+    if fwd.X is None:
+        raise ValueError("distractor loss needs a nonempty base bag")
+    if fwd.X.shape[0] != n:
+        raise ValueError(f"forward holds {fwd.X.shape[0]} encodings, "
+                         f"bag {base.bag_id!r} has {n} sentences")
+    row = model.encode_sentence(aug.distractor)
+    X = ad.concat([fwd.X, ad.reshape(row, (1, row.shape[0]))])
+    gi = gi_vector(model.forward_encodings(X, base.entity_i, base.entity_j), aug.relation)
     return distractor_loss(ad.take(gi, slice(0, n)), ad.take(gi, n), gamma)
 
 

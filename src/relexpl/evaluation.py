@@ -68,8 +68,13 @@ def pr_auc(pairs: Sequence[ScoredPair], recall_cutoff: float = 0.4) -> PRCurve:
     """Ranked precision-recall with trapezoidal area up to the recall cutoff.
 
     Ties in probability break by (bag_id, relation) so the ranking is
-    stable and reruns are bit-identical. The area is scaled x100.
+    stable and reruns are bit-identical. The area is scaled x100. A
+    non-finite probability raises ValueError naming its bag and relation.
     """
+    for p in pairs:
+        if not math.isfinite(p.prob):
+            raise ValueError(f"cannot rank: probability {p.prob} for bag {p.bag_id!r}, "
+                             f"relation {p.relation}")
     n_pos = sum(1 for p in pairs if p.label)
     if n_pos == 0:
         raise ValueError("cannot rank: no positive labels in the prediction set")

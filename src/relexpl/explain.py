@@ -17,7 +17,8 @@ model: gradients are taken functionally.
 
 explain_corpus runs each positive bag forward once and every (relation,
 method) pair reads that forward: attention its weights, saliency and gi
-a gradient taken on its graph, and loo a re-pooling of its cached
+a first-order gradient taken on its graph without recording a graph of
+its own (create_graph=False), and loo a re-pooling of its cached
 encoding stack without each sentence. Sentence encodings do not interact,
 so the re-pooled logits are exactly those of a fresh forward over the
 remaining sentences, and leave-one-out costs one encoding per sentence
@@ -50,11 +51,15 @@ class ImportanceScores:
     scores: tuple[float, ...]
 
 
-def encoding_gradient(fwd: BagForward, k: int) -> Tensor:
-    """In-graph (N, d) gradient of the logit o_k w.r.t. the encoding stack."""
+def encoding_gradient(fwd: BagForward, k: int, create_graph: bool = True) -> Tensor:
+    """(N, d) gradient of the logit o_k w.r.t. the encoding stack.
+
+    With create_graph it is a graph node that training can differentiate;
+    the explanation scores take it with create_graph=False, same values.
+    """
     if fwd.X is None:
         raise ValueError("forward pass has no sentence encodings")
-    (gX,) = ad.grad(ad.take(fwd.logits, k), [fwd.X])
+    (gX,) = ad.grad(ad.take(fwd.logits, k), [fwd.X], create_graph=create_graph)
     return gX
 
 
@@ -73,13 +78,15 @@ def _shared_forward(model: RelationModel, bag: Bag, k: int,
 
 def saliency(model: RelationModel, bag: Bag, k: int,
              fwd: BagForward | None = None) -> np.ndarray:
-    gX = encoding_gradient(_shared_forward(model, bag, k, fwd), k)
+    gX = encoding_gradient(_shared_forward(model, bag, k, fwd), k, create_graph=False)
     return np.sum(np.abs(gX.data), axis=1)
 
 
 def grad_input(model: RelationModel, bag: Bag, k: int,
                fwd: BagForward | None = None) -> np.ndarray:
-    return gi_vector(_shared_forward(model, bag, k, fwd), k).data.copy()
+    fwd = _shared_forward(model, bag, k, fwd)
+    gX = encoding_gradient(fwd, k, create_graph=False)
+    return (gX.data * fwd.X.data).sum(axis=1)  # gi_vector's numpy ops, unrecorded
 
 
 def leave_one_out(model: RelationModel, bag: Bag, k: int,

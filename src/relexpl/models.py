@@ -193,7 +193,15 @@ class RelationModel:
             logits = self._empty_logits(entity_i, entity_j)
             return BagForward(X=None, alphas=None, reps=None, logits=logits,
                               probs=_sigmoid_np(logits.data))
-        X = self.encode_bag(sentences)
+        return self.forward_encodings(self.encode_bag(sentences), entity_i, entity_j)
+
+    def forward_encodings(self, X: Tensor, entity_i: int, entity_j: int) -> BagForward:
+        """The forward pass over a nonempty (N, d) stack of sentence encodings.
+
+        Distractor training pools the base bag's cached stack with the
+        distractor's row appended through this, instead of encoding the
+        base bag again.
+        """
         alphas, reps, logits = self._bag_logits(X, entity_i, entity_j)
         return BagForward(X=X, alphas=alphas, reps=reps, logits=logits,
                           probs=_sigmoid_np(logits.data))

@@ -46,9 +46,17 @@ class Adam:
         self.t = 0
         self._m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        # per-parameter scratch, so that a step allocates no arrays
+        self._buf = {name: (np.empty_like(p.data), np.empty_like(p.data))
+                     for name, p in params.items()}
 
     def step(self):
-        """Apply one update from the accumulated .grad fields, then zero them."""
+        """Apply one update from the accumulated .grad fields, then zero them.
+
+        The update is m <- b1 m + (1 - b1) g, v <- b2 v + (1 - b2) g g and
+        p <- p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), computed
+        in place with the same operations in the same order.
+        """
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
@@ -59,12 +67,22 @@ class Adam:
             g = p.grad
             m = self._m[name]
             v = self._v[name]
+            a, b = self._buf[name]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-            p.grad[...] = 0.0
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            a *= g
+            v += a
+            np.divide(m, b1t, out=a)
+            a *= self.lr
+            np.divide(v, b2t, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p.data -= a
+            g.fill(0.0)
 
     def zero_grad(self):
         for p in self.params.values():
@@ -80,10 +98,14 @@ def save_checkpoint(path: str, params: dict[str, Tensor], extra: dict | None = N
     where ``data`` is base64 of the tensor's C-order little-endian float64
     bytes and ``sha256`` the hex digest of those bytes. ``extra`` is
     omitted when empty. Exact and byte-stable; written to ``path + ".tmp"``
-    and then renamed over ``path``.
+    and then renamed over ``path``. A non-finite parameter raises
+    ValueError before anything is written, as `load_checkpoint` would
+    refuse the file.
     """
     entries = {}
     for name, p in params.items():
+        if not np.isfinite(p.data).all():
+            raise ValueError(f"parameter {name!r} holds non-finite values")
         raw = np.asarray(p.data, dtype="<f8").tobytes(order="C")
         entries[name] = {
             "shape": list(p.data.shape),

@@ -3,17 +3,21 @@
 Each run splits the provided bags 90/10 (seeded shuffle), iterates bags in
 a fresh random order every epoch, and applies one Adam step per bag. The
 parameters kept at the end are the ones from the epoch with the best
-validation ranking score, not the last epoch.
+validation ranking score, not the last epoch. A non-finite loss stops the
+run with a ValueError naming the epoch and the bag.
 
 With distractor training enabled, every positive bag gets one freshly
 sampled distractor per labeled relation at the start of each epoch, and
-the margin penalty is added to the objective. A weight of zero skips all
-distractor machinery entirely, so such a run consumes exactly the same
-random draws as one with the feature off.
+the margin penalty is added to the objective. The penalty reuses the
+bag's BCE forward: each distractor is encoded alone and pooled with the
+cached base encodings, so a step encodes every base sentence once. A
+weight of zero skips all distractor machinery entirely, so such a run
+consumes exactly the same random draws as one with the feature off.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -136,11 +140,15 @@ def train_model(model: RelationModel, bags: Sequence[Bag], cfg: TrainConfig) -> 
                 loss = ad.add(loss, relevance_loss(
                     fwd.alphas, [s.relevance_label for s in bag.sentences]))
             if use_ld and i in augments:
-                terms = [augmented_bag_loss(model, aug, cfg.gamma) for aug in augments[i]]
+                terms = [augmented_bag_loss(model, aug, cfg.gamma, fwd) for aug in augments[i]]
                 loss = combined_loss(loss, terms, cfg.lam)
+            value = float(loss.data)
+            if not math.isfinite(value):
+                raise ValueError(f"training loss is {value} in epoch {epoch} at bag "
+                                 f"{bag.bag_id!r}; the parameters diverged")
             loss.backward()
             opt.step()
-            total_loss += float(loss.data)
+            total_loss += value
 
         val_auc = _validation_auc(model, val_bags)
         history.append({

@@ -46,6 +46,28 @@ class TestAdamUpdate:
             opt.step()
         np.testing.assert_allclose(p.data, reference_adam(x0, grads, lr=0.01), rtol=1e-12)
 
+    def test_in_place_update_is_bit_equal_to_expression_form(self):
+        # the allocating form the in-place step replaced: same ops, same order
+        rng = np.random.default_rng(3)
+        shapes = {"w": (3, 2), "b": (4,), "s": ()}
+        params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
+        ref = {n: p.data.copy() for n, p in params.items()}
+        m = {n: np.zeros(s) for n, s in shapes.items()}
+        v = {n: np.zeros(s) for n, s in shapes.items()}
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr=lr)
+        for t in range(1, 8):
+            for n, p in params.items():
+                g = rng.normal(size=shapes[n])
+                p.grad[...] = g
+                m[n] = m[n] * b1 + (1.0 - b1) * g
+                v[n] = v[n] * b2 + (1.0 - b2) * g * g
+                ref[n] = ref[n] - lr * (m[n] / (1.0 - b1 ** t)) / (
+                    np.sqrt(v[n] / (1.0 - b2 ** t)) + eps)
+            opt.step()
+            for n, p in params.items():
+                np.testing.assert_array_equal(p.data, ref[n])
+
     def test_first_step_magnitude_is_lr(self):
         # with bias correction, |first update| ~ lr for any gradient scale
         p = Tensor(np.zeros(4), requires_grad=True)
@@ -140,6 +162,15 @@ class TestCheckpoint:
         save_checkpoint(p1, params)
         save_checkpoint(p2, dict(reversed(list(params.items()))))
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_not_saved(self, tmp_path, bad):
+        w = np.zeros((2, 2))
+        w[1, 0] = bad
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="parameter 'w' holds non-finite values"):
+            save_checkpoint(str(path), {"a": Tensor(np.ones(2)), "w": Tensor(w)})
+        assert list(tmp_path.iterdir()) == []
 
     def test_restore_checks_names_and_shapes(self, tmp_path):
         path = str(tmp_path / "m.json")

@@ -14,6 +14,7 @@ from relexpl import autodiff as ad
 from relexpl.autodiff import GraphError, ShapeMismatchError, Tensor
 
 from conftest import check_grads, numeric_grad, rel_err
+from test_acceptance import _op_cases
 
 
 def _squared(f):
@@ -437,6 +438,99 @@ class TestBackwardSemantics:
         y = ad.sum_all(ad.add(ad.mul(a, x), ad.mul(x, a)))  # 4 x^2
         (g,) = ad.grad(y, [x])
         np.testing.assert_allclose(g.data, [24.0], rtol=1e-12)
+
+
+def _gi_margin_root(X, Q, w, gamma=0.5):
+    """The distractor loss's shape: a margin on gradient-x-input of the last row.
+
+    Softmax pooling, sigmoid and log put the self-referencing and the
+    reciprocal VJPs on the second-order path.
+    """
+    n, d = X.shape
+    alphas = ad.softmax(ad.matvec(X, Q))
+    rep = ad.sum_axis(ad.mul(X, ad.reshape(alphas, (n, 1))), 0)
+    o = ad.dot(ad.log(ad.cadd(ad.sigmoid(rep), 1.0)), w)
+    (gX,) = ad.grad(o, [X])
+    gi = ad.sum_axis(ad.mul(gX, X), 1)
+    last = ad.take(gi, n - 1)
+    hinge = ad.relu(ad.cadd(ad.sub(last, ad.vec_max(ad.take(gi, slice(0, n - 1)))), gamma))
+    return ad.add(hinge, ad.absolute(last))
+
+
+def _gi_margin_case(seed):
+    rng = np.random.default_rng(seed)
+    leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
+              for shape in ((4, 3), (3,), (3,))]
+    return _gi_margin_root(*leaves), leaves
+
+
+class TestCreateGraphFalse:
+    """grad(create_graph=False) runs the same VJPs unrecorded: equal values, no graph."""
+
+    def test_equals_create_graph_over_every_op(self):
+        for seed in range(3):
+            for name, build, arrays in _op_cases(np.random.default_rng(seed)):
+                tensors = [Tensor(a, requires_grad=True) for a in arrays]
+                root = build(*tensors)
+                kept = ad.grad(root, tensors, create_graph=True)
+                bare = ad.grad(root, tensors, create_graph=False)
+                for k, b in zip(kept, bare):
+                    np.testing.assert_array_equal(b.data, k.data, err_msg=name)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_create_graph_on_second_order_root(self, seed):
+        root, leaves = _gi_margin_case(seed)
+        kept = ad.grad(root, leaves, create_graph=True)
+        bare = ad.grad(root, leaves, create_graph=False)
+        for k, b in zip(kept, bare):
+            np.testing.assert_array_equal(b.data, k.data)
+        assert any(np.abs(b.data).max() > 0 for b in bare)
+
+    def test_backward_equals_create_graph(self):
+        root, leaves = _gi_margin_case(9)
+        kept = ad.grad(root, leaves, create_graph=True)
+        root.backward()
+        for leaf, k in zip(leaves, kept):
+            np.testing.assert_array_equal(leaf.grad, k.data)
+
+    def test_returned_tensors_have_no_parents(self):
+        root, leaves = _gi_margin_case(1)
+        for g in ad.grad(root, leaves, create_graph=False):
+            assert g._parents == () and g._vjp is None and not g.requires_grad
+        # with create_graph the same gradients are graph nodes
+        assert all(g._parents for g in ad.grad(root, leaves, create_graph=True))
+
+    @pytest.mark.parametrize("run", [
+        lambda root, leaves: ad.grad(root, leaves, create_graph=False),
+        lambda root, leaves: root.backward(),
+    ], ids=["grad", "backward"])
+    def test_no_node_records_parents_while_it_runs(self, monkeypatch, run):
+        root, leaves = _gi_margin_case(2)
+        made = []
+        node = ad._node
+
+        def spy(data, parents, vjp, op):
+            out = node(data, parents, vjp, op)
+            made.append(out)
+            return out
+
+        monkeypatch.setattr(ad, "_node", spy)
+        run(root, leaves)
+        assert made, "the backward pass made no nodes"
+        assert all(t._parents == () and t._vjp is None for t in made)
+
+    @pytest.mark.parametrize("create_graph", [False, True])
+    def test_recording_restored_when_a_vjp_raises(self, create_graph):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+
+        def vjp(g):
+            raise RuntimeError("vjp failed")
+
+        root = ad.sum_all(ad._node(x.data * 2.0, (x,), vjp, "faulty"))
+        with pytest.raises(RuntimeError, match="vjp failed"):
+            ad.grad(root, [x], create_graph=create_graph)
+        assert ad._recording is True
+        assert ad.mul(x, x)._parents == (x, x)
 
 
 @given(

@@ -2,14 +2,20 @@
 provenance comments, and byte-level determinism of reruns."""
 
 import json
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import relexpl
+from relexpl import cli
 from relexpl.cli import EXIT_INVALID, EXIT_MISSING_INPUT, EXIT_OK, main
 from relexpl.corpus import load_corpus
 from relexpl.explain import load_scores
+from relexpl.models import load_model
+from relexpl.training import TrainResult
 
 GEN_CONFIG = {
     "n_relations": 2,
@@ -185,6 +191,48 @@ class TestEval:
                      "--out", str(tmp_path / "out")]) == EXIT_MISSING_INPUT
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFinite:
+    """Numbers that stop being finite exit 3; nothing is written that looks valid."""
+
+    def test_diverging_training_exits_3_without_checkpoint(self, workspace, tmp_path,
+                                                           capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--corpus", str(workspace / "data" / "train.jsonl"),
+                     "--out", str(out), "--epochs", "2", "--lr", "1e300",
+                     "--seed", "1", *SMALL_ENCODER]) == EXIT_INVALID
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "training loss is nan in epoch 0 at bag '" in err
+
+    def test_eval_of_nan_probabilities_exits_3(self, workspace, tmp_path, capsys):
+        # finite parameters whose attention scores overflow: inf - inf in softmax
+        model, extra = load_model(str(workspace / "run" / "checkpoint.json"))
+        model.params["enc.w2.bias"].data[...] = 1e308
+        model.params["att.diag"].data[...] = 1e10
+        checkpoint = tmp_path / "overflow.json"
+        model.save(str(checkpoint), extra=extra)
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(checkpoint),
+                     "--corpus", str(workspace / "data" / "test.jsonl"),
+                     "--out", str(out)]) == EXIT_INVALID
+        assert not (out / "metrics.json").exists()
+        assert "cannot rank: probability nan for bag '" in capsys.readouterr().err
+
+    def test_non_finite_parameters_not_saved(self, workspace, tmp_path, capsys,
+                                             monkeypatch):
+        def poisoned(model, bags, cfg):
+            model.params["head.bias"].data[0] = np.inf
+            return TrainResult(best_epoch=0, best_val_auc=0.5)
+
+        monkeypatch.setattr(cli, "train_model", poisoned)
+        out = tmp_path / "run"
+        assert main(["train", "--corpus", str(workspace / "data" / "train.jsonl"),
+                     "--out", str(out), "--epochs", "1", *SMALL_ENCODER]) == EXIT_INVALID
+        assert list(out.iterdir()) == []
+        assert "parameter 'head.bias' holds non-finite values" in capsys.readouterr().err
+
+
 class TestExplain:
     def test_scores_cover_requested_methods(self, workspace, tmp_path):
         out = tmp_path / "x"
@@ -307,17 +355,22 @@ class TestAvg:
                      "--out", str(tmp_path / "avg")]) == EXIT_MISSING_INPUT
 
 
+def _run_module(*argv):
+    """python -m relexpl.cli in a child that imports the package under test."""
+    src = os.path.dirname(os.path.dirname(relexpl.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "relexpl.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 class TestEntryPoint:
     def test_module_invocation_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "relexpl.cli", "gen-data"],
-            capture_output=True, text=True)
+        proc = _run_module("gen-data")
         assert proc.returncode == 2
         assert "--config" in proc.stderr
 
     def test_version_flag(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "relexpl.cli", "--version"],
-            capture_output=True, text=True)
+        proc = _run_module("--version")
         assert proc.returncode == 0
         assert "relexpl" in proc.stdout

@@ -20,7 +20,7 @@ from relexpl.distractor import (
     distractor_loss,
     sample_distractor,
 )
-from relexpl.encoder import EncoderConfig
+from relexpl.encoder import EncoderConfig, SentenceEncoder
 from relexpl.explain import gi_vector
 from relexpl.models import (
     CnnsAttModel,
@@ -31,6 +31,7 @@ from relexpl.models import (
     relevance_loss,
 )
 from relexpl.optim import Adam
+from relexpl.training import TrainConfig, train_model
 
 from conftest import check_param_grads
 
@@ -46,16 +47,16 @@ def bag(bag_id, relations, sentences, fget=(0, 1), entities=(0, 1)):
                sentences=tuple(sentences))
 
 
-def model_cfg(kind="cnns-att", K=2, widths=(2,), channels=2):
+def model_cfg(kind="cnns-att", K=2, widths=(2,), channels=2, fusion=False):
     return ModelConfig(
         kind=kind,
         n_relations=K,
         encoder=EncoderConfig(vocab_size=30, n_fget=2, d_w=4, d_p=2, pos_clip=4,
                               widths=widths, channels=channels),
         repr_mode=ReprMode.RAW,
-        fusion=False,
+        fusion=fusion,
         d_e=4,
-        n_entities=0,
+        n_entities=2 if fusion else 0,
     )
 
 
@@ -348,15 +349,103 @@ class TestNoReferenceCycles:
         gc.collect()
         gc.disable()
         try:
-            fwd = model.forward_bag(base)
-            loss = bce_loss(fwd.logits, label_vector(base, model.cfg.n_relations))
-            if kind == "directsup":
-                loss = ad.add(loss, relevance_loss(
-                    fwd.alphas, [s.relevance_label for s in base.sentences]))
-            loss = combined_loss(loss, [augmented_bag_loss(model, aug, 1e-5)], 1.0)
+            loss = _step_loss(model, base, [aug], 1e-5, augmented_bag_loss)
             loss.backward()
             opt.step()
-            del fwd, loss
+            del loss
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _separate_encoding_loss(model, aug, gamma):
+    """Reference: the distractor loss from one fresh forward over all N + 1
+    sentences, encoding the base bag again."""
+    fwd = model.forward_sentences(list(aug.base.sentences) + [aug.distractor],
+                                  aug.base.entity_i, aug.base.entity_j)
+    gi = gi_vector(fwd, aug.relation)
+    n = len(aug.base.sentences)
+    return distractor_loss(ad.take(gi, slice(0, n)), ad.take(gi, n), gamma)
+
+
+def _step_loss(model, base, augs, gamma, distractor_term):
+    """The objective of one --ld training step, as training.train_model builds it."""
+    fwd = model.forward_bag(base)
+    loss = bce_loss(fwd.logits, label_vector(base, model.cfg.n_relations))
+    if isinstance(model, DirectSupModel):
+        loss = ad.add(loss, relevance_loss(
+            fwd.alphas, [s.relevance_label for s in base.sentences]))
+    return combined_loss(loss, [distractor_term(model, aug, gamma, fwd) for aug in augs], 1.0)
+
+
+def _two_relation_case(kind, fusion, seed):
+    cls = CnnsAttModel if kind == "cnns-att" else DirectSupModel
+    model = cls(model_cfg(kind=kind, fusion=fusion), seed=seed)
+    rng = np.random.default_rng(100 + seed)
+    sentences = [sent([int(t) for t in rng.integers(0, 30, size=int(rng.integers(4, 8)))],
+                      relevance=bool(i % 2)) for i in range(5)]
+    base = bag("base", {0, 1}, sentences[:3])
+    augs = [AugmentedBag(base, k, _substitute_mentions(sentences[3 + k], base))
+            for k in (0, 1)]
+    return model, base, augs
+
+
+KINDS = [("cnns-att", False), ("cnns-att", True), ("directsup", False), ("directsup", True)]
+
+
+class TestSharedEncodings:
+    """augmented_bag_loss pools the distractor with the BCE forward's cached
+    encodings instead of encoding the base bag again."""
+
+    @pytest.mark.parametrize("kind,fusion", KINDS)
+    def test_shared_loss_equals_standalone_and_separate(self, kind, fusion):
+        model, base, augs = _two_relation_case(kind, fusion, seed=3)
+        fwd = model.forward_bag(base)
+        for aug in augs:
+            shared = float(augmented_bag_loss(model, aug, 0.05, fwd).data)
+            assert shared == float(augmented_bag_loss(model, aug, 0.05).data)
+            assert shared == float(_separate_encoding_loss(model, aug, 0.05).data)
+
+    @pytest.mark.parametrize("kind,fusion", KINDS)
+    def test_parameter_gradients_match_separate_encodings(self, kind, fusion):
+        # the same terms summed in another order: equal up to rounding
+        model, base, augs = _two_relation_case(kind, fusion, seed=5)
+        params = list(model.trainable_params().values())
+        shared = ad.grad(_step_loss(model, base, augs, 0.5, augmented_bag_loss), params)
+        separate = ad.grad(_step_loss(
+            model, base, augs, 0.5, lambda m, a, g, fwd: _separate_encoding_loss(m, a, g)),
+            params)
+        for a, b in zip(shared, separate):
+            np.testing.assert_allclose(a.data, b.data, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind,seed", [("cnns-att", 0), ("directsup", 4)])
+    def test_step_gradients_match_fd(self, kind, seed):
+        model, base, augs = _two_relation_case(kind, False, seed)
+        probe = {n: model.params[n] for n in
+                 ("head.rel", "head.bias", "enc.w2.filters", "embed.pos_i")}
+        check_param_grads(lambda: _step_loss(model, base, augs, 0.5, augmented_bag_loss),
+                          probe, tol=1e-3)
+
+    def test_rejects_a_forward_of_another_bag(self):
+        model, base, augs = _two_relation_case("cnns-att", False, seed=1)
+        fwd = model.forward_sentences(base.sentences[:2], base.entity_i, base.entity_j)
+        with pytest.raises(ValueError, match="2 encodings"):
+            augmented_bag_loss(model, augs[0], 0.5, fwd)
+
+    def test_ld_step_encodes_each_sentence_once(self, monkeypatch):
+        # N = 3 sentences, R = 2 relations: N + R encodes (not N + R (N + 1));
+        # the negative bag's M = 2 sentences are its own step
+        _, base, _ = _two_relation_case("cnns-att", False, seed=2)
+        negative = bag("neg", set(), [sent([5, 6, 7, 8]), sent([9, 10, 11, 12])])
+        calls = []
+        encode = SentenceEncoder.encode
+
+        def counting(self, *args):
+            calls.append(1)
+            return encode(self, *args)
+
+        monkeypatch.setattr(SentenceEncoder, "encode", counting)
+        model = CnnsAttModel(model_cfg(), seed=0)
+        train_model(model, [base, negative],
+                    TrainConfig(epochs=1, lr=0.01, val_fraction=0.0, ld=True))
+        assert len(calls) == (3 + 2) + 2

@@ -118,6 +118,12 @@ class TestPRAuc:
         with pytest.raises(ValueError, match="no positive labels"):
             pr_auc(pairs_from([("a", 0, 0.5, False)]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        rows = [("a", 0, 0.9, True), ("b", 1, bad, False), ("c", 0, 0.2, False)]
+        with pytest.raises(ValueError, match=r"probability .* for bag 'b', relation 1"):
+            pr_auc(pairs_from(rows))
+
 
 class TestKendallTau:
     def scores_one_bag(self, values):

@@ -161,6 +161,14 @@ class TestValidation:
             with pytest.raises(ValueError):
                 train_model(model, train, bad)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("ld", [False, True])
+    def test_non_finite_loss_names_epoch_and_bag(self, corpus, ld):
+        train, _ = corpus
+        model = build_model(model_cfg(), seed=0)
+        with pytest.raises(ValueError, match=r"training loss is nan in epoch 0 at bag '"):
+            train_model(model, train, TrainConfig(epochs=2, lr=1e300, ld=ld))
+
 
 class TestLearning:
     @pytest.mark.parametrize("kind", ["cnns-att", "directsup"])
