@@ -11,7 +11,8 @@ With create_graph=False the VJPs run with recording off: every op still
 computes the same numpy result, but its output is a bare tensor with no
 parents and no VJP, so no graph of the backward pass is built or kept.
 backward() always works that way, since nothing differentiates the
-gradients it accumulates into .grad.
+gradients it accumulates into .grad, and it walks the graph once: the
+walk that finds the leaves also orders the VJPs.
 
 Design notes:
   * float64 everywhere; gradient checking demands the precision.
@@ -25,8 +26,15 @@ Design notes:
     writes v into zeros of that shape and sums the rows an int array
     repeats. All indexing in the engine (slices, zero padding, single rows
     and elements, embedding lookups and their scatters) is one of the two.
-  * Max-style ops (rows_max, vec_max) break ties toward the lowest index
-    and treat the winner selection as constant during differentiation.
+  * Max-style ops (rows_max, segment_max, vec_max) break ties toward the
+    lowest index and treat the winner selection as constant during
+    differentiation.
+  * segment_matmul and segment_max treat a matrix as blocks of consecutive
+    rows, one per sentence of a bag, and im2col takes the windows at given
+    start rows; so the encoder runs a bag as one graph of a fixed size.
+    segment_matmul runs one GEMM per block, which keeps each block's bits
+    independent of the blocks beside it (batch invariance); its VJP is the
+    matmul VJP, whose two GEMMs sum over all blocks at once.
   * sigmoid, softmax and reciprocal differentiate through their own
     output; their VJPs hold it by weak reference (a VJP only runs while its
     node is alive), so a graph holds no reference cycle and is freed as
@@ -480,21 +488,85 @@ def stack_rows(rows) -> Tensor:
 # convolution
 # ---------------------------------------------------------------------------
 
-def im2col(m, width: int) -> Tensor:
-    """Unfold (Lp, c) into (Lp-width+1, width*c) convolution rows."""
+def _check_starts(op: str, starts, n_windows: int, rows: int, width: int) -> np.ndarray:
+    """starts as int64 once it names n_windows strictly increasing windows inside rows."""
+    starts = np.asarray(starts, dtype=np.int64)
+    if (starts.shape != (n_windows,) or n_windows and (
+            starts[0] < 0 or starts[-1] > rows - width or np.any(starts[1:] <= starts[:-1]))):
+        raise ShapeMismatchError(op, starts.shape, (rows, width))
+    return starts
+
+
+def im2col(m, width: int, starts=None) -> Tensor:
+    """Unfold (Lp, c) into (Lp-width+1, width*c) convolution rows.
+
+    With starts, a strictly increasing int array, only the windows that
+    begin at those rows are taken, one output row each.
+    """
     m = _as_tensor(m)
     if m.ndim != 2 or width < 1 or m.shape[0] < width:
         raise ShapeMismatchError("im2col", m.shape, (width,))
-    out = kernels.im2col(np.ascontiguousarray(m.data), width)
-    return _node(out, (m,), lambda g: (col2im(g, width),), "im2col")
+    rows = m.shape[0]
+    if starts is not None:
+        starts = _check_starts("im2col", starts, len(starts), rows, width)
+    out = kernels.im2col(np.ascontiguousarray(m.data), width, starts)
+    return _node(out, (m,), lambda g: (col2im(g, width, starts, rows),), "im2col")
 
 
-def col2im(m, width: int) -> Tensor:
+def col2im(m, width: int, starts=None, rows: int | None = None) -> Tensor:
+    """Adjoint of im2col; with starts, rows is the row count of the folded result."""
     m = _as_tensor(m)
     if m.ndim != 2 or m.shape[1] % width != 0:
         raise ShapeMismatchError("col2im", m.shape, (width,))
-    out = kernels.col2im(np.ascontiguousarray(m.data), width)
-    return _node(out, (m,), lambda g: (im2col(g, width),), "col2im")
+    if starts is not None:
+        if rows is None:
+            raise ShapeMismatchError("col2im", m.shape, ("rows",))
+        starts = _check_starts("col2im", starts, m.shape[0], rows, width)
+    out = kernels.col2im(np.ascontiguousarray(m.data), width, starts, rows)
+    return _node(out, (m,), lambda g: (im2col(g, width, starts),), "col2im")
+
+
+def segment_matmul(a, b, sizes) -> Tensor:
+    """matmul(a, b) computed as one GEMM per block of `sizes` consecutive rows of a.
+
+    Each block's rows get the bits of a matmul of that block alone,
+    whatever blocks sit beside it; one GEMM over all rows gives other bits
+    once the row count changes. The VJP needs no such promise: it is the
+    matmul VJP, two GEMMs over all rows.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0] or sum(sizes) != a.shape[0]:
+        raise ShapeMismatchError("segment_matmul", a.shape, b.shape)
+    out = np.empty((a.shape[0], b.shape[1]))
+    lo = 0
+    for n in sizes:
+        np.matmul(a.data[lo:lo + n], b.data, out=out[lo:lo + n])
+        lo += n
+    return _node(out, (a, b), lambda g: (matmul(g, transpose(b)), matmul(transpose(a), g)),
+                 "segment_matmul")
+
+
+def segment_max(m, sizes) -> Tensor:
+    """Columnwise max over each block of `sizes` consecutive rows of (n, d): (len(sizes), d).
+
+    One kernels.rows_max per block, so ties go to the block's lowest row;
+    the winners are constant under differentiation and the adjoint puts g
+    back at them.
+    """
+    m = _as_tensor(m)
+    if m.ndim != 2 or not sizes or min(sizes) < 1 or sum(sizes) != m.shape[0]:
+        raise ShapeMismatchError("segment_max", m.shape, tuple(sizes))
+    data = np.ascontiguousarray(m.data)
+    vals = np.empty((len(sizes), m.shape[1]))
+    rows = np.empty((len(sizes), m.shape[1]), dtype=np.int64)
+    lo = 0
+    for i, n in enumerate(sizes):
+        vals[i], rows[i] = kernels.rows_max(data[lo:lo + n])
+        rows[i] += lo
+        lo += n
+    index = (rows, np.arange(m.shape[1])[None, :])
+    shape = m.shape
+    return _node(vals, (m,), lambda g: (put(g, index, shape),), "segment_max")
 
 
 def conv1d(x, filters, bias=None) -> Tensor:
@@ -551,31 +623,42 @@ def grad(root: Tensor, wrt, allow_unused: bool = True,
     bit for bit, at the cost of a first-order pass only. Tensors that do
     not participate in the graph get zeros.
     """
-    global _recording
     if root.size != 1:
         raise GraphError(f"grad root must be scalar, got shape {root.shape}")
-    wrt = list(wrt)
-    order = _topo_order(root)
-    in_graph = {id(n) for n in order}
-    target_ids = {id(t) for t in wrt}
+    return _grad_along(root, _topo_order(root), list(wrt), allow_unused, create_graph)
 
-    needed: dict[int, bool] = {}
+
+def _grad_along(root: Tensor, order: list[Tensor], wrt: list[Tensor], allow_unused: bool,
+                create_graph: bool) -> list[Tensor]:
+    """grad over a precomputed _topo_order(root), so a caller walks the graph once."""
+    global _recording
+    target_ids = {id(t) for t in wrt}
+    needed: set[int] = set()  # nodes on a path to a target
+    feeds: set[int] = set()   # nodes with a needed parent: the VJPs that run
     for node in order:
-        needed[id(node)] = id(node) in target_ids or any(needed[id(p)] for p in node._parents)
+        key = id(node)
+        for p in node._parents:
+            if id(p) in needed:
+                feeds.add(key)
+                needed.add(key)
+                break
+        if key in target_ids:
+            needed.add(key)
 
     grads: dict[int, Tensor] = {id(root): Tensor(np.ones_like(root.data))}
     was_recording = _recording
     _recording = bool(create_graph)
     try:
         for node in reversed(order):
-            g = grads.get(id(node))
-            if g is None or node._vjp is None:
+            key = id(node)
+            if key not in feeds or node._vjp is None:
                 continue
-            if not any(needed[id(p)] for p in node._parents):
+            g = grads.get(key)
+            if g is None:
                 continue
             contribs = node._vjp(g)
             for p, c in zip(node._parents, contribs):
-                if c is None or not needed[id(p)]:
+                if c is None or id(p) not in needed:
                     continue
                 prev = grads.get(id(p))
                 grads[id(p)] = c if prev is None else add(prev, c)
@@ -586,7 +669,7 @@ def grad(root: Tensor, wrt, allow_unused: bool = True,
     for t in wrt:
         g = grads.get(id(t))
         if g is None:
-            if id(t) not in in_graph and not allow_unused:
+            if not allow_unused and all(n is not t for n in order):
                 raise GraphError("grad target does not participate in the graph")
             g = Tensor(np.zeros_like(t.data))
         out.append(g)
@@ -597,7 +680,8 @@ def backward(root: Tensor):
     """Accumulate d(root)/d(leaf) into .grad for every requires_grad leaf.
 
     root must be scalar; a graph can be consumed only once. The gradients
-    are taken with create_graph=False: backward builds no graph.
+    are taken with create_graph=False, over the one graph walk that also
+    finds the leaves: backward builds no graph.
     """
     if root.size != 1:
         raise GraphError(f"backward root must be scalar, got shape {root.shape}")
@@ -606,7 +690,7 @@ def backward(root: Tensor):
     root._backward_used = True
     order = _topo_order(root)
     leaves = [n for n in order if not n._parents and n.requires_grad]
-    for leaf, g in zip(leaves, grad(root, leaves, create_graph=False)):
+    for leaf, g in zip(leaves, _grad_along(root, order, leaves, True, False)):
         if leaf.grad is None:
             leaf.grad = np.zeros_like(leaf.data)
         leaf.grad += g.data

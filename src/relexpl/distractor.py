@@ -183,8 +183,7 @@ def augmented_bag_loss(model: RelationModel, aug: AugmentedBag, gamma: float,
     if fwd.X.shape[0] != n:
         raise ValueError(f"forward holds {fwd.X.shape[0]} encodings, "
                          f"bag {base.bag_id!r} has {n} sentences")
-    row = model.encode_sentence(aug.distractor)
-    X = ad.concat([fwd.X, ad.reshape(row, (1, row.shape[0]))])
+    X = ad.concat([fwd.X, model.encode_bag([aug.distractor])])
     gi = gi_vector(model.forward_encodings(X, base.entity_i, base.entity_j), aug.relation)
     return distractor_loss(ad.take(gi, slice(0, n)), ad.take(gi, n), gamma)
 

@@ -6,6 +6,12 @@ banks of several widths run over that sequence; each bank max-pools over
 time; the pooled vectors are concatenated and passed through a ReLU, so
 sentence encodings are nonnegative.
 
+The encoder takes the sentences of a bag together and builds one graph
+whose size does not grow with the bag: one gather per table, and per
+width one window gather, one GEMM call per sentence, one bias add and one
+per-sentence max. Each encoding is bit-identical to that of the sentence
+encoded alone.
+
 The token table is shared between words and FGET types: type t lives at
 row vocab_size + t. Word/type rows stay frozen during training; position
 tables and filter banks are trainable.
@@ -13,6 +19,7 @@ tables and filter banks are trainable.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass
 
@@ -107,13 +114,17 @@ def relative_position(token_idx: int, span: tuple[int, int], clip: int) -> int:
 
 def position_ids(length: int, span: tuple[int, int], clip: int) -> np.ndarray:
     """Table row per token: offset shifted into [0, 2*clip]."""
-    return np.array(
-        [relative_position(t, span, clip) + clip for t in range(length)], dtype=np.int64
-    )
+    return _position_rows(np.arange(length), span[0], span[1], clip)
+
+
+def _position_rows(t: np.ndarray, start, end, clip: int) -> np.ndarray:
+    """relative_position(t, (start, end), clip) + clip, elementwise over broadcast int arrays."""
+    after = np.where(t >= end, np.minimum(t - (end - 1), clip), 0)
+    return np.where(t < start, np.maximum(t - start, -clip), after) + clip
 
 
 class SentenceEncoder:
-    """Owns the embedding tables and filter banks; encodes one sentence to R^d."""
+    """Owns the embedding tables and filter banks; encodes the sentences of a bag to R^d."""
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
         cfg.validate()
@@ -159,24 +170,53 @@ class SentenceEncoder:
                 )
             table[idx] = vec
 
-    def encode(self, tokens, mention_i: tuple[int, int], mention_j: tuple[int, int]) -> Tensor:
-        """Differentiable encoding of one sentence, shape (out_dim,), >= 0."""
+    def encode(self, items, mention_i=None, mention_j=None) -> Tensor:
+        """Differentiable (N, out_dim) encodings, all >= 0, of N sentences in one graph.
+
+        items holds one (tokens, mention_i, mention_j) triple per sentence.
+        The gathered rows of all sentences sit in one layout with
+        max(w // 2) zero rows before, between and after the sentences, so
+        that no convolution window spans two sentences. Per width, one
+        im2col takes each sentence's windows, one segment_matmul multiplies
+        them by the filters in one GEMM per sentence, and one segment_max
+        pools each sentence. So every row is bit-identical to the
+        sentence's encoding alone, whichever bag it sits in, while the
+        graph has a fixed number of nodes per bag.
+
+        encode(tokens, mention_i, mention_j) encodes that one sentence to
+        its (out_dim,) row.
+        """
+        if mention_i is not None:
+            return ad.take(self.encode([(items, mention_i, mention_j)]), 0)
         cfg = self.cfg
-        ids = np.asarray(tokens, dtype=np.int64)
-        if ids.size == 0:
+        sizes = [len(tokens) for tokens, _, _ in items]
+        if not sizes:
+            raise ValueError("cannot encode an empty list of sentences")
+        if min(sizes) == 0:
             raise ValueError("cannot encode an empty token sequence")
+        total = sum(sizes)
+        ids = np.fromiter(itertools.chain.from_iterable(tokens for tokens, _, _ in items),
+                          dtype=np.int64, count=total)
         if ids.min() < 0 or ids.max() >= cfg.token_rows:
             bad = int(ids[(ids < 0) | (ids >= cfg.token_rows)][0])
             raise ValueError(f"unknown token id {bad} (table has {cfg.token_rows} rows)")
-        length = ids.shape[0]
-        parts = [
+        sentence = np.repeat(np.arange(len(sizes)), sizes)
+        first = np.cumsum(sizes) - sizes  # first row of each sentence
+        t = (np.arange(total) - first[sentence])[:, None]  # token index within its sentence
+        spans = np.array([(*mi, *mj) for _, mi, mj in items], dtype=np.int64)[sentence]
+        pos = _position_rows(t, spans[:, 0::2], spans[:, 1::2], cfg.pos_clip)  # (total, 2)
+        x = ad.concat([
             ad.take(self.params["embed.tokens"], ids),
-            ad.take(self.params["embed.pos_i"], position_ids(length, mention_i, cfg.pos_clip)),
-            ad.take(self.params["embed.pos_j"], position_ids(length, mention_j, cfg.pos_clip)),
-        ]
-        x = ad.concat(parts, axis=1)
-        pooled = [
-            ad.rows_max(ad.conv1d(x, self.params[f"enc.w{w}.filters"], self.params[f"enc.w{w}.bias"]))
-            for w in sorted(cfg.widths)
-        ]
-        return ad.relu(ad.concat(pooled))
+            ad.take(self.params["embed.pos_i"], pos[:, 0]),
+            ad.take(self.params["embed.pos_j"], pos[:, 1]),
+        ], axis=1)
+        gap = max(w // 2 for w in cfg.widths)  # the most zero rows a window reaches past
+        rows = np.arange(total) + gap * (sentence + 1)
+        layout = ad.put(x, rows, (total + gap * (len(sizes) + 1), x.shape[1]))
+        pooled = []
+        for w in sorted(cfg.widths):
+            cols = ad.im2col(layout, w, rows - (w - 1) // 2)
+            conv = ad.add(ad.segment_matmul(cols, self.params[f"enc.w{w}.filters"], sizes),
+                          self.params[f"enc.w{w}.bias"])
+            pooled.append(ad.segment_max(conv, sizes))
+        return ad.relu(ad.concat(pooled, axis=1))

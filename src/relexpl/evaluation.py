@@ -166,14 +166,22 @@ def confidence_split(probs: Mapping[tuple[str, int], float]) -> tuple[set, set]:
 
 
 def positive_pair_probs(model: RelationModel, bags: Sequence[Bag]) -> dict[tuple[str, int], float]:
-    """Model probability for every (positive bag, labeled relation) pair."""
+    """Model probability for every (positive bag, labeled relation) pair.
+
+    A non-finite probability raises ValueError naming its bag and relation:
+    the confidence buckets would drop it silently.
+    """
     out: dict[tuple[str, int], float] = {}
     for bag in bags:
         if not bag.relations:
             continue
         probs = model.forward_bag(bag).probs
         for k in sorted(bag.relations):
-            out[(bag.bag_id, k)] = float(probs[k])
+            p = float(probs[k])
+            if not math.isfinite(p):
+                raise ValueError(f"cannot bucket by confidence: probability {p} for bag "
+                                 f"{bag.bag_id!r}, relation {k}")
+            out[(bag.bag_id, k)] = p
     return out
 
 

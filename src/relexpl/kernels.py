@@ -9,27 +9,38 @@ import numpy as np
 USING_NUMBA = False  # one numpy route; the constant stays for tools that report the route
 
 
-def im2col(xpad: np.ndarray, width: int) -> np.ndarray:
-    """Unfold a padded (Lp, c) sequence into (Lp-width+1, width*c) rows.
+def im2col(xpad: np.ndarray, width: int, starts: np.ndarray | None = None) -> np.ndarray:
+    """Unfold a padded (Lp, c) sequence into one row of width*c values per window.
 
-    Column block dt of the output holds xpad shifted by dt, so row t is the
-    concatenation xpad[t], xpad[t+1], ..., xpad[t+width-1].
+    Row r is the concatenation xpad[t], xpad[t+1], ..., xpad[t+width-1] for
+    t = starts[r]; without starts every window is taken, t = 0 .. Lp-width.
+    Each window is a contiguous run of xpad's C-order memory, so a row is one
+    copy out of a strided view of all windows.
     """
     lp, c = xpad.shape
-    l = lp - width + 1
-    out = np.empty((l, width * c), dtype=np.float64)
-    for dt in range(width):
-        out[:, dt * c:(dt + 1) * c] = xpad[dt:dt + l]
-    return out
+    windows = np.ndarray((lp - width + 1, width * c), dtype=np.float64, buffer=xpad,
+                         strides=xpad.strides)
+    return windows.copy() if starts is None else windows[starts]
 
 
-def col2im(g: np.ndarray, width: int) -> np.ndarray:
-    """Adjoint of im2col: fold (L, width*c) back into (L+width-1, c), summing overlaps."""
-    l, wc = g.shape
+def col2im(g: np.ndarray, width: int, starts: np.ndarray | None = None,
+           rows: int | None = None) -> np.ndarray:
+    """Adjoint of im2col: fold (n, width*c) back into (rows, c), summing overlaps.
+
+    Without starts the windows are t = 0 .. n-1 and rows is n + width - 1.
+    With starts (distinct), the rows of g are first spread over the grid of
+    all rows - width + 1 windows, the others holding zeros, and the grid is
+    folded; a zero term leaves every sum as it is.
+    """
+    if starts is not None:
+        grid = np.zeros((rows - width + 1, g.shape[1]), dtype=np.float64)
+        grid[starts] = g
+        g = grid
+    n, wc = g.shape
     c = wc // width
-    out = np.zeros((l + width - 1, c), dtype=np.float64)
+    out = np.zeros((n + width - 1, c), dtype=np.float64)
     for dt in range(width):
-        out[dt:dt + l] += g[:, dt * c:(dt + 1) * c]
+        out[dt:dt + n] += g[:, dt * c:(dt + 1) * c]
     return out
 
 
@@ -44,7 +55,14 @@ def rows_max(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def scatter_add_rows(n_rows: int, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Accumulate rows (m, d) into a zero (n_rows, d) table at positions ids (m,), in order."""
+    """Accumulate rows (m, d) into a zero (n_rows, d) table at positions ids (m,), in order.
+
+    Strictly increasing ids name each row once, so one buffered += adds the
+    same 0 + row as np.add.at, without its per-element loop.
+    """
     out = np.zeros((n_rows, rows.shape[1]), dtype=np.float64)
-    np.add.at(out, ids, rows)
+    if ids.size < 2 or np.all(ids[1:] > ids[:-1]):
+        out[ids] += rows
+    else:
+        np.add.at(out, ids, rows)
     return out

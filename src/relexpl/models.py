@@ -128,18 +128,17 @@ class RelationModel:
     # -- encoding -----------------------------------------------------------
 
     def encode_sentence(self, sentence: Sentence) -> Tensor:
-        tokens, mi, mj = apply_repr_mode(
-            sentence,
-            self.cfg.repr_mode,
-            vocab_size=self.cfg.encoder.vocab_size,
-            n_fget=self.cfg.encoder.n_fget,
-        )
-        return self.encoder.encode(tokens, mi, mj)
+        return ad.take(self.encode_bag([sentence]), 0)
 
     def encode_bag(self, sentences: Sequence[Sentence]) -> Tensor:
+        """(N, d) encodings of the sentences, in one encoder graph."""
         if not sentences:
             raise ValueError("encode_bag needs at least one sentence")
-        return ad.stack_rows([self.encode_sentence(s) for s in sentences])
+        cfg = self.cfg
+        return self.encoder.encode([
+            apply_repr_mode(s, cfg.repr_mode, vocab_size=cfg.encoder.vocab_size,
+                            n_fget=cfg.encoder.n_fget)
+            for s in sentences])
 
     # -- fusion -------------------------------------------------------------
 

@@ -129,6 +129,8 @@ def _op_cases(rng):
     F = rng.standard_normal((width * cin, cout))
     fb = rng.standard_normal(cout)
     cols = rng.standard_normal((L - width + 1, width * cin))
+    sizes = (3, 1, 2)                # segment blocks: rows per block
+    starts = np.array([0, 2, 3, 5])  # windows of width 3 in L + 3 rows, a gap at 1
 
     def wsum(shape):
         # drawn once per case, then bound as a lambda default: the builder
@@ -210,7 +212,27 @@ def _op_cases(rng):
         ("sum_to_col", lambda a, _w=wsum((n, 1)): _w(ad.sum_to(a, (n, 1))), [A]),
         ("sum_to_scalar", lambda a: ad.sum_to(a, ()), [A]),
         ("reshape", lambda a, _w=wsum((m, n)): _w(ad.reshape(a, (m, n))), [A]),
+        # the bag encoder's ops: blocks of `sizes` rows, windows at `starts`
+        ("segment_max",
+         lambda a, _w=wsum((len(sizes), c)): _w(ad.segment_max(a, sizes)),
+         [_blockwise_distinct(rng, sizes, c)]),
+        ("segment_matmul",
+         lambda a, b, _w=wsum((sum(sizes), c)): _w(ad.segment_matmul(a, b, sizes)),
+         [rng.standard_normal((sum(sizes), m)), Mm]),
+        ("im2col_starts",
+         lambda x, _w=wsum((len(starts), width * cin)): _w(ad.im2col(x, width, starts)),
+         [rng.standard_normal((L + 3, cin))]),
+        ("col2im_starts",
+         lambda a, _w=wsum((L + 3, cin)): _w(ad.col2im(a, width, starts, L + 3)),
+         [rng.standard_normal((len(starts), width * cin))]),
     ]
+
+
+def _blockwise_distinct(rng, sizes, d):
+    """Rows in blocks of `sizes`; within a block, the entries of a column are
+    at least 0.3 apart, so no finite-difference step changes a block's max."""
+    blocks = [rng.permutation(n * d).reshape(n, d) * 0.5 for n in sizes]
+    return np.concatenate(blocks) + rng.uniform(-0.1, 0.1, (sum(sizes), d))
 
 
 def _end_to_end_grad_check(seed):

@@ -14,7 +14,7 @@ from relexpl import autodiff as ad
 from relexpl.autodiff import GraphError, ShapeMismatchError, Tensor
 
 from conftest import check_grads, numeric_grad, rel_err
-from test_acceptance import _op_cases
+from test_acceptance import _blockwise_distinct, _op_cases
 
 
 def _squared(f):
@@ -335,6 +335,127 @@ class TestGatherConv:
         assert out.shape == (4, 1)
 
 
+def _check_second_order(build, arrays, tol=1e-3):
+    """FD-check the gradient of z = sum_i <grad_i build, C_i>, a scalar made
+    of first-order gradients, so every VJP is itself differentiated."""
+    rng = np.random.default_rng(len(arrays))
+    dirs = [rng.normal(size=np.shape(a)) for a in arrays]
+
+    def z_of(tensors):
+        grads = ad.grad(build(*tensors), tensors)
+        return ad.sum_all(ad.concat([ad.reshape(ad.mul(g, Tensor(c)), (-1,))
+                                     for g, c in zip(grads, dirs)]))
+
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    engine = ad.grad(z_of(tensors), tensors)
+    numeric = numeric_grad(
+        lambda *arrs: float(z_of([Tensor(a, requires_grad=True) for a in arrs]).data), arrays)
+    for e, n in zip(engine, numeric):
+        assert rel_err(e.data, n) < tol, f"second-order mismatch: {rel_err(e.data, n):.3e}"
+
+
+class TestSegmentOps:
+    """The bag encoder's ops: segment_max, segment_matmul, im2col/col2im at starts."""
+
+    SIZES = (2, 1, 3)
+
+    def _blocks(self, seed, d=3):
+        return _blockwise_distinct(np.random.default_rng(seed), self.SIZES, d)
+
+    def test_segment_max_is_rows_max_per_block(self):
+        m = self._blocks(0)
+        got = ad.segment_max(Tensor(m), self.SIZES).data
+        want = [ad.rows_max(Tensor(m[lo:lo + n])).data
+                for lo, n in zip((0, 2, 3), self.SIZES)]
+        np.testing.assert_array_equal(got, want)
+
+    def test_segment_max_tie_goes_to_lowest_row_of_the_block(self):
+        m = Tensor(np.array([[1.0, 5.0], [2.0, 2.0], [2.0, 5.0], [0.0, 5.0]]),
+                   requires_grad=True)
+        (g,) = ad.grad(ad.sum_all(ad.segment_max(m, (1, 3))), [m])
+        np.testing.assert_array_equal(g.data, [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+
+    def test_segment_matmul_equals_per_block_matmul_bitwise(self):
+        rng = np.random.default_rng(1)
+        for rows, k in ((6, 4), (620, 1550)):
+            sizes = (rows // 3, rows - rows // 3 - 1, 1)
+            a = rng.normal(size=(rows, k))
+            b = rng.normal(size=(k, 64))
+            got = ad.segment_matmul(Tensor(a), Tensor(b), sizes).data
+            lo = 0
+            for n in sizes:
+                np.testing.assert_array_equal(got[lo:lo + n], np.ascontiguousarray(a[lo:lo + n]) @ b)
+                lo += n
+
+    def test_first_and_second_order_match_finite_differences(self):
+        rng = np.random.default_rng(2)
+        starts = np.array([1, 2, 5])
+        for seed in range(3):
+            m = self._blocks(seed)
+            a = rng.normal(size=(6, 4))
+            b = rng.normal(size=(4, 3))
+            x = rng.normal(size=(9, 2))
+            cols = rng.normal(size=(3, 3 * 2))
+            cases = [
+                (_squared(lambda t: ad.segment_max(t, self.SIZES)), [m]),
+                (lambda p, q: ad.sum_all(ad.mul(ad.segment_matmul(p, q, self.SIZES),
+                                                ad.segment_matmul(p, q, self.SIZES))), [a, b]),
+                (_squared(lambda t: ad.im2col(t, 3, starts)), [x]),
+                (_squared(lambda t: ad.col2im(t, 3, starts, 9)), [cols]),
+            ]
+            for build, arrays in cases:
+                check_grads(build, arrays)
+                _check_second_order(build, arrays)
+
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 10 ** 6))
+    @settings(max_examples=30, deadline=None)
+    def test_im2col_col2im_with_starts_adjoint(self, width, c, seed):
+        """<im2col(x, w, s), y> == <x, col2im(y, w, s, rows)> for strictly increasing s."""
+        rng = np.random.default_rng(seed)
+        rows = width + int(rng.integers(0, 8))
+        starts = np.flatnonzero(rng.random(rows - width + 1) < 0.6)
+        x = rng.normal(size=(rows, c))
+        y = rng.normal(size=(starts.size, width * c))
+        lhs = np.sum(ad.im2col(Tensor(x), width, starts).data * y)
+        rhs = np.sum(x * ad.col2im(Tensor(y), width, starts, rows).data)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(0, 10 ** 6))
+    @settings(max_examples=30, deadline=None)
+    def test_segment_vjps_are_adjoint(self, sizes, seed):
+        """Both ops are linear in each operand (segment_max for fixed winners),
+        so <op(x), y> equals <x, VJP(y)> for every operand."""
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        a = Tensor(rng.normal(size=(n, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        y = rng.normal(size=(n, 2))
+        out = ad.segment_matmul(a, b, sizes)
+        ga, gb = ad.grad(ad.sum_all(ad.mul(out, Tensor(y))), [a, b])
+        lhs = np.sum(out.data * y)
+        np.testing.assert_allclose(np.sum(a.data * ga.data), lhs, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(np.sum(b.data * gb.data), lhs, rtol=1e-12, atol=1e-12)
+        y = rng.normal(size=(len(sizes), 3))
+        out = ad.segment_max(a, sizes)
+        (ga,) = ad.grad(ad.sum_all(ad.mul(out, Tensor(y))), [a])
+        np.testing.assert_allclose(np.sum(a.data * ga.data), np.sum(out.data * y),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_bad_blocks_and_starts_raise(self):
+        m = Tensor(np.zeros((4, 2)))
+        for sizes in ((), (2, 1), (4, 0), (1, 1, 1, 2)):
+            with pytest.raises(ShapeMismatchError, match="segment_max"):
+                ad.segment_max(m, sizes)
+        with pytest.raises(ShapeMismatchError, match="segment_matmul"):
+            ad.segment_matmul(m, Tensor(np.zeros((2, 3))), (3,))
+        for starts in ([0, 0], [2, 1], [-1, 1], [0, 3], [[0, 1]]):
+            with pytest.raises(ShapeMismatchError, match="im2col"):
+                ad.im2col(m, 2, np.array(starts))
+        for starts, rows in (([0, 3], 4), ([0, 1], None)):
+            with pytest.raises(ShapeMismatchError, match="col2im"):
+                ad.col2im(Tensor(np.zeros((2, 4))), 2, np.array(starts), rows)
+
+
 class TestSecondOrder:
     def test_grad_of_gradient_scalar(self):
         """d/dx of (dy/dx . c) for y = sum(sigmoid(x)^2), against finite differences."""
@@ -409,6 +530,23 @@ class TestBackwardSemantics:
         root.backward()
         with pytest.raises(GraphError):
             root.backward()
+
+    def test_backward_walks_the_graph_once(self, monkeypatch):
+        calls = []
+        topo = ad._topo_order
+
+        def spy(root):
+            calls.append(root)
+            return topo(root)
+
+        monkeypatch.setattr(ad, "_topo_order", spy)
+        root, leaves = _gi_margin_case(3)
+        kept = ad.grad(root, leaves, create_graph=True)
+        calls.clear()
+        root.backward()
+        assert calls == [root]
+        for leaf, k in zip(leaves, kept):
+            np.testing.assert_array_equal(leaf.grad, k.data)
 
     def test_grad_is_functional_and_repeatable(self):
         a = Tensor(np.array([2.0, 3.0]), requires_grad=True)

@@ -219,6 +219,27 @@ class TestNonFinite:
         assert not (out / "metrics.json").exists()
         assert "cannot rank: probability nan for bag '" in capsys.readouterr().err
 
+    def test_expl_eval_of_nan_probabilities_exits_3(self, workspace, tmp_path, capsys):
+        # the overflow checkpoint of test_eval_of_nan_probabilities_exits_3,
+        # scored against explanations of the finite model
+        model, extra = load_model(str(workspace / "run" / "checkpoint.json"))
+        model.params["enc.w2.bias"].data[...] = 1e308
+        model.params["att.diag"].data[...] = 1e10
+        checkpoint = tmp_path / "overflow.json"
+        model.save(str(checkpoint), extra=extra)
+        corpus = str(workspace / "data" / "test.jsonl")
+        assert main(["explain", "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                     "--corpus", corpus, "--out", str(tmp_path / "x"),
+                     "--methods", "gi"]) == EXIT_OK
+        out = tmp_path / "k"
+        assert main(["expl-eval", "--checkpoint", str(checkpoint), "--corpus", corpus,
+                     "--scores", str(tmp_path / "x" / "scores.jsonl"),
+                     "--out", str(out)]) == EXIT_INVALID
+        assert not (out / "kendall.csv").exists()
+        err = capsys.readouterr().err
+        assert "cannot bucket by confidence: probability nan for bag '" in err
+        assert "', relation " in err
+
     def test_non_finite_parameters_not_saved(self, workspace, tmp_path, capsys,
                                              monkeypatch):
         def poisoned(model, bags, cfg):

@@ -433,19 +433,21 @@ class TestSharedEncodings:
             augmented_bag_loss(model, augs[0], 0.5, fwd)
 
     def test_ld_step_encodes_each_sentence_once(self, monkeypatch):
-        # N = 3 sentences, R = 2 relations: N + R encodes (not N + R (N + 1));
-        # the negative bag's M = 2 sentences are its own step
+        # N = 3 sentences, R = 2 relations: N + R encoded sentences (not
+        # N + R (N + 1)), in one encoder call for the bag and one per
+        # distractor; the negative bag's M = 2 sentences are its own step
         _, base, _ = _two_relation_case("cnns-att", False, seed=2)
         negative = bag("neg", set(), [sent([5, 6, 7, 8]), sent([9, 10, 11, 12])])
         calls = []
         encode = SentenceEncoder.encode
 
-        def counting(self, *args):
-            calls.append(1)
-            return encode(self, *args)
+        def counting(self, items):
+            calls.append(len(items))
+            return encode(self, items)
 
         monkeypatch.setattr(SentenceEncoder, "encode", counting)
         model = CnnsAttModel(model_cfg(), seed=0)
         train_model(model, [base, negative],
                     TrainConfig(epochs=1, lr=0.01, val_fraction=0.0, ld=True))
-        assert len(calls) == (3 + 2) + 2
+        assert sum(calls) == (3 + 2) + 2
+        assert len(calls) == (1 + 2) + 1

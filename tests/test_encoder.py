@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relexpl import autodiff as ad
-from relexpl.encoder import EncoderConfig, SentenceEncoder, position_ids, relative_position
+from relexpl.encoder import (EncoderConfig, SentenceEncoder, _position_rows, position_ids,
+                             relative_position)
 
 from conftest import check_param_grads
 
@@ -42,6 +45,95 @@ class TestRelativePosition:
         ids = position_ids(6, (2, 4), clip=4)
         np.testing.assert_array_equal(ids, [2, 3, 4, 4, 5, 6])
         assert ids.min() >= 0 and ids.max() <= 8
+
+
+@given(st.integers(0, 30), st.integers(-5, 35), st.integers(-5, 35), st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_position_rows_match_relative_position(t, start, end, clip):
+    # every span, reversed and empty ones too
+    got = _position_rows(np.array([t]), start, end, clip)
+    assert got.tolist() == [relative_position(t, (start, end), clip) + clip]
+
+
+# the two encoders the benchmark runs: desk and paper
+DESK = dict(vocab_size=400, n_fget=4, d_w=16, d_p=2, pos_clip=8, widths=(2, 3), channels=8)
+PAPER = dict(vocab_size=400, n_fget=4, d_w=300, d_p=5, pos_clip=50, widths=(2, 3, 4, 5),
+             channels=64)
+ENCODERS = {name: SentenceEncoder(EncoderConfig(**kw), np.random.default_rng(5))
+            for name, kw in (("desk", DESK), ("paper", PAPER))}
+
+
+def reference_encoding(enc, tokens, mention_i, mention_j):
+    """One sentence encoded by its definition, with conv1d and rows_max."""
+    p, cfg = enc.params, enc.cfg
+    n = len(tokens)
+    x = ad.concat([
+        ad.take(p["embed.tokens"], np.asarray(tokens, dtype=np.int64)),
+        ad.take(p["embed.pos_i"], position_ids(n, mention_i, cfg.pos_clip)),
+        ad.take(p["embed.pos_j"], position_ids(n, mention_j, cfg.pos_clip)),
+    ], axis=1)
+    return ad.relu(ad.concat([
+        ad.rows_max(ad.conv1d(x, p[f"enc.w{w}.filters"], p[f"enc.w{w}.bias"]))
+        for w in sorted(cfg.widths)]))
+
+
+@st.composite
+def sentences(draw, max_len=12):
+    """(tokens, mention_i, mention_j): lengths from 1 (shorter than any
+    filter) up, spans anywhere, at either edge included."""
+    n = draw(st.integers(1, max_len))
+    tokens = draw(st.lists(st.integers(0, 403), min_size=n, max_size=n))
+
+    def span():
+        start = draw(st.integers(0, n - 1))
+        return (start, draw(st.integers(start + 1, n)))
+
+    return tokens, span(), span()
+
+
+class TestBatchInvariance:
+    """A sentence's encoding has the same bits in every bag, and equals its definition."""
+
+    @pytest.mark.parametrize("name", ["desk", "paper"])
+    @given(items=st.lists(sentences(), min_size=1, max_size=6))
+    @example(items=[([7], (0, 1), (0, 1))])
+    @example(items=[([1, 2, 3], (0, 1), (2, 3)), ([4], (0, 1), (0, 1)),
+                    ([6, 7, 8, 9, 10, 11], (5, 6), (0, 2))])
+    @settings(max_examples=40, deadline=None)
+    def test_each_row_equals_the_sentence_alone(self, name, items):
+        enc = ENCODERS[name]
+        X = enc.encode(items).data
+        assert X.shape == (len(items), enc.out_dim)
+        for i, item in enumerate(items):
+            alone = enc.encode([item]).data
+            assert np.array_equal(X[i], alone[0])
+            assert np.array_equal(X[i], reference_encoding(enc, *item).data)
+
+    @pytest.mark.parametrize("name", ["desk", "paper"])
+    def test_300_sentence_bag(self, name):
+        enc = ENCODERS[name]
+        rng = np.random.default_rng(300)
+        items = []
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            start = int(rng.integers(0, n))
+            items.append((rng.integers(0, 404, n).tolist(), (start, n), (0, start + 1)))
+        X = enc.encode(items).data
+        for i, item in enumerate(items):
+            assert np.array_equal(X[i], enc.encode([item]).data[0]), i
+
+    def test_parameter_gradients_of_a_bag_match_finite_differences(self):
+        enc = make_encoder(seed=4)
+        items = [([3, 9, 1, 12, 5], (0, 1), (4, 5)), ([7], (0, 1), (0, 1)),
+                 ([2, 4, 6], (1, 3), (0, 1))]
+        weights = np.random.default_rng(6).normal(size=(3, enc.out_dim))
+        trainable = {n: p for n, p in enc.params.items() if p.requires_grad}
+        check_param_grads(lambda: ad.sum_all(ad.mul(enc.encode(items), ad.Tensor(weights))),
+                          trainable)
+
+    def test_empty_bag_rejected(self):
+        with pytest.raises(ValueError, match="empty list"):
+            make_encoder().encode([])
 
 
 class TestEncodeContract:

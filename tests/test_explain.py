@@ -405,7 +405,7 @@ class TestSharedForward:
     def test_one_forward_and_one_encoding_per_sentence(self, monkeypatch):
         # all four methods on a 16-sentence, single-relation bag: quadratic
         # leave-one-out would re-encode the bag once per sentence
-        calls = {"encode": 0, "forward": 0}
+        calls = {"encode": 0, "sentences": 0, "forward": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -413,13 +413,19 @@ class TestSharedForward:
                 return fn(*args, **kwargs)
             return wrapper
 
+        encode = SentenceEncoder.encode
+
+        def encode_counting_sentences(self, items):
+            calls["sentences"] += len(items)
+            return encode(self, items)
+
         monkeypatch.setattr(SentenceEncoder, "encode",
-                            counted("encode", SentenceEncoder.encode))
+                            counted("encode", encode_counting_sentences))
         monkeypatch.setattr(RelationModel, "forward_sentences",
                             counted("forward", RelationModel.forward_sentences))
         model = CnnsAttModel(model_cfg(K=2), seed=0)
         explain_corpus(model, [make_bag(n_sent=16, relations=frozenset({1}))])
-        assert calls == {"encode": 16, "forward": 1}
+        assert calls == {"encode": 1, "sentences": 16, "forward": 1}
 
     @pytest.mark.parametrize("cls,kind", [
         (DirectSupModel, "directsup"), (CnnsAttModel, "cnns-att"),
