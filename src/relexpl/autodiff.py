@@ -6,29 +6,40 @@ graphs. That property is load-bearing: the distractor training loss
 backpropagates through gradient-x-input values, which requires
 second-order derivatives.
 
-grad(root, wrt, create_graph=True) returns such differentiable gradients.
+The ops: add, sub, mul; relu, absolute, clamp, sigmoid, log, reciprocal;
+broadcast_to, sum_to, reshape; transpose, matmul; reduce_sum, rows_max,
+softmax; take, put, concat; im2col, col2im, segment_matmul, segment_max,
+conv1d. Gradients are functional: grad(root, wrt) returns d(root)/d(t)
+for each t in wrt and changes no tensor.
+
+grad(root, wrt, create_graph=True) returns differentiable gradients.
 With create_graph=False the VJPs run with recording off: every op still
 computes the same numpy result, but its output is a bare tensor with no
 parents and no VJP, so no graph of the backward pass is built or kept.
-backward() always works that way, since nothing differentiates the
-gradients it accumulates into .grad, and it walks the graph once: the
-walk that finds the leaves also orders the VJPs.
+backward(root, wrt) is that first-order grad as plain arrays, the form
+an optimizer step reads.
 
 Design notes:
   * float64 everywhere; gradient checking demands the precision.
-  * add, sub and mul broadcast like numpy. Their VJPs sum the incoming
+  * add, sub and mul broadcast like numpy, and a python float or a numpy
+    array operand is a constant Tensor. Their VJPs sum the incoming
     gradient back to each operand's shape with sum_to, the adjoint of
     broadcast_to; sum_to returns a tensor of the right shape unchanged, so
-    same-shape arithmetic adds no node to the backward graph.
+    same-shape arithmetic adds no node to the backward graph. They return
+    None for an operand that does not require grad: no constant gets a
+    gradient computed.
+  * matmul takes a 2-d left operand and a 2-d or 1-d right one, as numpy's
+    @ does; the adjoint of a matrix-vector product's matrix is the
+    broadcasting product of g as a column with the vector.
   * take(a, index) copies a.data[index] for an int, a slice, a tuple of
     them or an int array; int arrays are range-checked, and negative ids
     raise IndexError instead of wrapping. Its adjoint put(v, index, shape)
     writes v into zeros of that shape and sums the rows an int array
     repeats. All indexing in the engine (slices, zero padding, single rows
     and elements, embedding lookups and their scatters) is one of the two.
-  * Max-style ops (rows_max, segment_max, vec_max) break ties toward the
-    lowest index and treat the winner selection as constant during
-    differentiation.
+  * Max-style ops (rows_max, segment_max) break ties toward the lowest
+    index and treat the winner selection as constant during
+    differentiation; a vector's max is take at its np.argmax.
   * segment_matmul and segment_max treat a matrix as blocks of consecutive
     rows, one per sentence of a bag, and im2col takes the windows at given
     start rows; so the encoder runs a bag as one graph of a fixed size.
@@ -42,9 +53,6 @@ Design notes:
   * Recording is one module-level flag that _node reads; grad sets it
     for the duration of its VJP calls and restores it in a finally, so a
     VJP that raises leaves recording as it was.
-  * A graph is "consumed" by backward(); call it twice on the same root
-    and you get a GraphError. The functional grad() helper does not
-    consume anything and may be called repeatedly.
 """
 
 from __future__ import annotations
@@ -69,23 +77,20 @@ class ShapeMismatchError(ValueError):
 
 
 class GraphError(RuntimeError):
-    """Raised for invalid graph use (non-scalar root, reused graph)."""
+    """Raised for invalid graph use (a non-scalar root, a target that requires no grad)."""
 
 
 class Tensor:
     """Dense float64 array participating in a differentiable graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op", "_backward_used",
-                 "__weakref__")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_op", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.data) if requires_grad else None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
         self._op = "leaf"
-        self._backward_used = False
 
     @property
     def shape(self):
@@ -102,13 +107,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
-    def backward(self):
-        backward(self)
-
     def __add__(self, other):
         return add(self, other)
 
@@ -119,7 +117,7 @@ class Tensor:
         return mul(self, other)
 
     def __neg__(self):
-        return neg(self)
+        return mul(self, -1.0)
 
     def __repr__(self):
         return f"Tensor(op={self._op}, shape={self.shape})"
@@ -161,65 +159,45 @@ def _broadcast(ufunc, op: str, a: Tensor, b: Tensor) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     sa, sb = a.shape, b.shape
+    ra, rb = a.requires_grad, b.requires_grad
     return _node(_broadcast(np.add, "add", a, b), (a, b),
-                 lambda g: (sum_to(g, sa), sum_to(g, sb)), "add")
+                 lambda g: (sum_to(g, sa) if ra else None, sum_to(g, sb) if rb else None),
+                 "add")
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     sa, sb = a.shape, b.shape
+    ra, rb = a.requires_grad, b.requires_grad
     return _node(_broadcast(np.subtract, "sub", a, b), (a, b),
-                 lambda g: (sum_to(g, sa), neg(sum_to(g, sb))), "sub")
+                 lambda g: (sum_to(g, sa) if ra else None,
+                            mul(sum_to(g, sb), -1.0) if rb else None), "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     return _node(_broadcast(np.multiply, "mul", a, b), (a, b),
-                 lambda g: (sum_to(mul(g, b), a.shape), sum_to(mul(g, a), b.shape)), "mul")
-
-
-def scale(a, c: float) -> Tensor:
-    a = _as_tensor(a)
-    c = float(c)
-    return _node(a.data * c, (a,), lambda g: (scale(g, c),), "scale")
-
-
-def neg(a) -> Tensor:
-    return scale(a, -1.0)
-
-
-def cadd(a, c: float) -> Tensor:
-    """Add a python-float constant elementwise."""
-    a = _as_tensor(a)
-    return _node(a.data + float(c), (a,), lambda g: (g,), "cadd")
-
-
-def cmul(a, const: np.ndarray) -> Tensor:
-    """Multiply by a constant array (same shape); the constant is not differentiated."""
-    a = _as_tensor(a)
-    const = np.asarray(const, dtype=np.float64)
-    if const.shape != a.shape:
-        raise ShapeMismatchError("cmul", a.shape, const.shape)
-    return _node(a.data * const, (a,), lambda g: (cmul(g, const),), "cmul")
+                 lambda g: (sum_to(mul(g, b), a.shape) if a.requires_grad else None,
+                            sum_to(mul(g, a), b.shape) if b.requires_grad else None), "mul")
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = (a.data > 0.0).astype(np.float64)
-    return _node(a.data * mask, (a,), lambda g: (cmul(g, mask),), "relu")
+    return _node(a.data * mask, (a,), lambda g: (mul(g, mask),), "relu")
 
 
 def absolute(a) -> Tensor:
     a = _as_tensor(a)
     sign = np.sign(a.data)
-    return _node(np.abs(a.data), (a,), lambda g: (cmul(g, sign),), "absolute")
+    return _node(np.abs(a.data), (a,), lambda g: (mul(g, sign),), "absolute")
 
 
 def clamp(a, lo: float, hi: float) -> Tensor:
     """Clip into [lo, hi]; gradient passes only where lo <= x <= hi."""
     a = _as_tensor(a)
     mask = ((a.data >= lo) & (a.data <= hi)).astype(np.float64)
-    return _node(np.clip(a.data, lo, hi), (a,), lambda g: (cmul(g, mask),), "clamp")
+    return _node(np.clip(a.data, lo, hi), (a,), lambda g: (mul(g, mask),), "clamp")
 
 
 def sigmoid(a) -> Tensor:
@@ -235,7 +213,7 @@ def sigmoid(a) -> Tensor:
 
     def vjp(g):
         y = ref()
-        d = mul(y, cadd(neg(y), 1.0))  # y * (1 - y), kept in-graph
+        d = mul(y, sub(1.0, y))  # y * (1 - y), kept in-graph
         return (mul(g, d),)
 
     node._vjp = vjp
@@ -252,7 +230,7 @@ def reciprocal(a) -> Tensor:
     node = _node(1.0 / a.data, (a,), None, "reciprocal")
     if _recording:  # log's VJP builds this op; unrecorded, it keeps no VJP
         ref = weakref.ref(node)
-        node._vjp = lambda g: (neg(mul(g, mul(ref(), ref()))),)
+        node._vjp = lambda g: (mul(mul(g, mul(ref(), ref())), -1.0),)
     return node
 
 
@@ -308,75 +286,33 @@ def transpose(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """a @ b for a 2-d a and a 2-d or 1-d b."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
-    return _node(
-        a.data @ b.data,
-        (a, b),
-        lambda g: (matmul(g, transpose(b)), matmul(transpose(a), g)),
-        "matmul",
-    )
-
-
-def matvec(m, v) -> Tensor:
-    m, v = _as_tensor(m), _as_tensor(v)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeMismatchError("matvec", m.shape, v.shape)
-    return _node(
-        m.data @ v.data,
-        (m, v),
-        lambda g: (outer(g, v), matvec(transpose(m), g)),
-        "matvec",
-    )
-
-
-def outer(u, v) -> Tensor:
-    u, v = _as_tensor(u), _as_tensor(v)
-    if u.ndim != 1 or v.ndim != 1:
-        raise ShapeMismatchError("outer", u.shape, v.shape)
-    return _node(
-        np.outer(u.data, v.data),
-        (u, v),
-        lambda g: (matvec(g, v), matvec(transpose(g), u)),
-        "outer",
-    )
-
-
-def dot(u, v) -> Tensor:
-    return sum_all(mul(u, v))
+    rows = (a.shape[0], 1)  # for a 1-d b, d(a @ b)/da is the outer product of g and b
+    return _node(a.data @ b.data, (a, b),
+                 lambda g: (mul(reshape(g, rows), b) if b.ndim == 1 else matmul(g, transpose(b)),
+                            matmul(transpose(a), g)), "matmul")
 
 
 # ---------------------------------------------------------------------------
 # reductions and softmax
 # ---------------------------------------------------------------------------
 
-def sum_all(a) -> Tensor:
+def reduce_sum(a, axis: int | None = None) -> Tensor:
+    """np.sum(a, axis): the sum of all entries, or the sum along one axis."""
     a = _as_tensor(a)
     shape = a.shape
-    return _node(np.sum(a.data), (a,), lambda g: (broadcast_to(g, shape),), "sum_all")
-
-
-def sum_axis(m, axis: int) -> Tensor:
-    m = _as_tensor(m)
-    if m.ndim != 2 or axis not in (0, 1):
-        raise ShapeMismatchError("sum_axis", m.shape, (axis,))
-    if axis == 0:
-        return sum_to(m, m.shape[1:])
-    ones = Tensor(np.ones(m.shape[1]))  # the VJP tiles g (r,) into columns
-    return _node(m.data.sum(axis=1), (m,), lambda g: (outer(g, ones),), "sum_axis1")
-
-
-def l1norm(a) -> Tensor:
-    return sum_all(absolute(a))
-
-
-def vec_max(v) -> Tensor:
-    """Max of a nonempty 1-d vector; tie -> lowest index, index constant under grad."""
-    v = _as_tensor(v)
-    if v.ndim != 1 or v.shape[0] == 0:
-        raise ShapeMismatchError("vec_max", v.shape, ("n>=1",))
-    return take(v, int(np.argmax(v.data)))
+    if axis is not None:
+        if not -a.ndim <= axis < a.ndim:
+            raise ShapeMismatchError("reduce_sum", shape, (axis,))
+        axis %= a.ndim
+    # g lines up with the trailing axes of a unless an axis before the summed one survives
+    kept = shape[:axis] + (1,) + shape[axis + 1:] if axis else None
+    return _node(np.sum(a.data, axis=axis), (a,),
+                 lambda g: (broadcast_to(g if kept is None else reshape(g, kept), shape),),
+                 "reduce_sum")
 
 
 def rows_max(m) -> Tensor:
@@ -393,32 +329,22 @@ def rows_max(m) -> Tensor:
 def softmax(a, axis: int = 0) -> Tensor:
     """Softmax along the sentence axis: 1-d vectors, or axis 0 of a 2-d matrix."""
     a = _as_tensor(a)
-    if a.size == 0:
-        raise ShapeMismatchError("softmax", a.shape, ("n>=1",))
-    if a.ndim == 1:
-        z = a.data - a.data.max()
-        e = np.exp(z)
-        node = _node(e / e.sum(), (a,), None, "softmax")
-        reduce = sum_all
-    elif a.ndim == 2 and axis == 0:
-        z = a.data - a.data.max(axis=0, keepdims=True)
-        e = np.exp(z)
-        node = _node(e / e.sum(axis=0, keepdims=True), (a,), None, "softmax")
-        reduce = lambda t: sum_axis(t, 0)  # noqa: E731
-    else:
+    if a.size == 0 or a.ndim not in (1, 2) or axis != 0:
         raise ShapeMismatchError("softmax", a.shape, (axis,))
+    e = np.exp(a.data - a.data.max(axis=0, keepdims=True))
+    node = _node(e / e.sum(axis=0, keepdims=True), (a,), None, "softmax")
     ref = weakref.ref(node)
 
     def vjp(g):
         y = ref()
-        return (mul(y, sub(g, reduce(mul(g, y)))),)
+        return (mul(y, sub(g, reduce_sum(mul(g, y), 0))),)
 
     node._vjp = vjp
     return node
 
 
 # ---------------------------------------------------------------------------
-# selection: take and its adjoint put, concatenation, stacking
+# selection: take and its adjoint put, concatenation
 # ---------------------------------------------------------------------------
 
 def take(a, index) -> Tensor:
@@ -471,17 +397,6 @@ def concat(parts, axis: int = 0) -> Tensor:
     bounds = list(itertools.accumulate((p.shape[len(lead)] for p in parts), initial=0))
     index = [lead + (slice(lo, hi),) for lo, hi in zip(bounds, bounds[1:])]
     return _node(out, parts, lambda g: tuple(take(g, i) for i in index), "concat")
-
-
-def stack_rows(rows) -> Tensor:
-    rows = [_as_tensor(r) for r in rows]
-    width = rows[0].shape[0]
-    for r in rows:
-        if r.ndim != 1 or r.shape[0] != width:
-            raise ShapeMismatchError("stack_rows", rows[0].shape, r.shape)
-    n = len(rows)
-    return _node(np.stack([r.data for r in rows]), rows,
-                 lambda g: tuple(take(g, i) for i in range(n)), "stack_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -612,26 +527,23 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def grad(root: Tensor, wrt, allow_unused: bool = True,
-         create_graph: bool = True) -> list[Tensor]:
-    """Gradients of a scalar root w.r.t. each tensor in wrt.
+def grad(root: Tensor, wrt, create_graph: bool = True) -> list[Tensor]:
+    """Gradients of a scalar root w.r.t. each tensor in wrt, which must require grad.
 
     With create_graph (the default) the returned tensors are graph nodes,
     so expressions built from them (gradient-x-input, saliency-style
     penalties) can be backpropagated in turn. With create_graph=False the
     VJPs run unrecorded and return bare tensors holding the same values,
     bit for bit, at the cost of a first-order pass only. Tensors that do
-    not participate in the graph get zeros.
+    not participate in the graph get zeros. No tensor is changed.
     """
+    global _recording
     if root.size != 1:
         raise GraphError(f"grad root must be scalar, got shape {root.shape}")
-    return _grad_along(root, _topo_order(root), list(wrt), allow_unused, create_graph)
-
-
-def _grad_along(root: Tensor, order: list[Tensor], wrt: list[Tensor], allow_unused: bool,
-                create_graph: bool) -> list[Tensor]:
-    """grad over a precomputed _topo_order(root), so a caller walks the graph once."""
-    global _recording
+    wrt = list(wrt)
+    if not all(t.requires_grad for t in wrt):
+        raise GraphError("grad target does not require grad")  # add, sub, mul would skip it
+    order = _topo_order(root)
     target_ids = {id(t) for t in wrt}
     needed: set[int] = set()  # nodes on a path to a target
     feeds: set[int] = set()   # nodes with a needed parent: the VJPs that run
@@ -664,33 +576,9 @@ def _grad_along(root: Tensor, order: list[Tensor], wrt: list[Tensor], allow_unus
                 grads[id(p)] = c if prev is None else add(prev, c)
     finally:
         _recording = was_recording
-
-    out = []
-    for t in wrt:
-        g = grads.get(id(t))
-        if g is None:
-            if not allow_unused and all(n is not t for n in order):
-                raise GraphError("grad target does not participate in the graph")
-            g = Tensor(np.zeros_like(t.data))
-        out.append(g)
-    return out
+    return [grads[id(t)] if id(t) in grads else Tensor(np.zeros_like(t.data)) for t in wrt]
 
 
-def backward(root: Tensor):
-    """Accumulate d(root)/d(leaf) into .grad for every requires_grad leaf.
-
-    root must be scalar; a graph can be consumed only once. The gradients
-    are taken with create_graph=False, over the one graph walk that also
-    finds the leaves: backward builds no graph.
-    """
-    if root.size != 1:
-        raise GraphError(f"backward root must be scalar, got shape {root.shape}")
-    if root._backward_used:
-        raise GraphError("backward already called on this graph; rebuild the forward pass first")
-    root._backward_used = True
-    order = _topo_order(root)
-    leaves = [n for n in order if not n._parents and n.requires_grad]
-    for leaf, g in zip(leaves, _grad_along(root, order, leaves, True, False)):
-        if leaf.grad is None:
-            leaf.grad = np.zeros_like(leaf.data)
-        leaf.grad += g.data
+def backward(root: Tensor, wrt) -> list[np.ndarray]:
+    """d(root)/d(t) for each t in wrt as plain arrays: grad with create_graph=False."""
+    return [g.data for g in grad(root, wrt, create_graph=False)]

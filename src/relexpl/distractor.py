@@ -158,7 +158,8 @@ def distractor_loss(gi_original: Tensor, gi_distractor: Tensor, gamma: float) ->
         raise ValueError("distractor loss needs a nonempty base bag")
     if gi_distractor.ndim != 0:
         raise ValueError("gi_distractor must be a scalar")
-    hinge = ad.relu(ad.cadd(ad.sub(gi_distractor, ad.vec_max(gi_original)), float(gamma)))
+    top = ad.take(gi_original, int(np.argmax(gi_original.data)))  # ties: lowest index
+    hinge = ad.relu(ad.add(ad.sub(gi_distractor, top), float(gamma)))
     return ad.add(hinge, ad.absolute(gi_distractor))
 
 
@@ -197,4 +198,4 @@ def combined_loss(base_loss: Tensor, distractor_terms: Sequence[Tensor], lam: fl
     total = distractor_terms[0]
     for t in distractor_terms[1:]:
         total = ad.add(total, t)
-    return ad.add(base_loss, ad.scale(total, lam))
+    return ad.add(base_loss, ad.mul(total, float(lam)))

@@ -170,7 +170,7 @@ class SentenceEncoder:
                 )
             table[idx] = vec
 
-    def encode(self, items, mention_i=None, mention_j=None) -> Tensor:
+    def encode(self, items) -> Tensor:
         """Differentiable (N, out_dim) encodings, all >= 0, of N sentences in one graph.
 
         items holds one (tokens, mention_i, mention_j) triple per sentence.
@@ -182,12 +182,7 @@ class SentenceEncoder:
         pools each sentence. So every row is bit-identical to the
         sentence's encoding alone, whichever bag it sits in, while the
         graph has a fixed number of nodes per bag.
-
-        encode(tokens, mention_i, mention_j) encodes that one sentence to
-        its (out_dim,) row.
         """
-        if mention_i is not None:
-            return ad.take(self.encode([(items, mention_i, mention_j)]), 0)
         cfg = self.cfg
         sizes = [len(tokens) for tokens, _, _ in items]
         if not sizes:

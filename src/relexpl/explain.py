@@ -66,7 +66,7 @@ def encoding_gradient(fwd: BagForward, k: int, create_graph: bool = True) -> Ten
 def gi_vector(fwd: BagForward, k: int) -> Tensor:
     """Per-sentence gradient-times-input as a differentiable (N,) tensor."""
     gX = encoding_gradient(fwd, k)
-    return ad.sum_axis(ad.mul(gX, fwd.X), 1)
+    return ad.reduce_sum(ad.mul(gX, fwd.X), 1)
 
 
 def _shared_forward(model: RelationModel, bag: Bag, k: int,

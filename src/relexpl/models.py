@@ -127,9 +127,6 @@ class RelationModel:
 
     # -- encoding -----------------------------------------------------------
 
-    def encode_sentence(self, sentence: Sentence) -> Tensor:
-        return ad.take(self.encode_bag([sentence]), 0)
-
     def encode_bag(self, sentences: Sequence[Sentence]) -> Tensor:
         """(N, d) encodings of the sentences, in one encoder graph."""
         if not sentences:
@@ -152,7 +149,7 @@ class RelationModel:
         vi = self._entity_vec(entity_i)
         vj = self._entity_vec(entity_j)
         z = ad.concat([rep, ad.sub(vi, vj), ad.mul(vi, vj)])
-        return ad.relu(ad.add(ad.matvec(ad.transpose(self.params["fuse.proj"]), z),
+        return ad.relu(ad.add(ad.matmul(ad.transpose(self.params["fuse.proj"]), z),
                               self.params["fuse.bias"]))
 
     def _fuse_rows(self, reps: Tensor, entity_i: int, entity_j: int) -> Tensor:
@@ -184,7 +181,7 @@ class RelationModel:
         rep = Tensor(np.zeros(self.cfg.encoder.out_dim))
         if self.cfg.fusion:
             rep = self._fuse_vec(rep, entity_i, entity_j)
-        return ad.add(ad.matvec(self.params["head.rel"], rep), self.params["head.bias"])
+        return ad.add(ad.matmul(self.params["head.rel"], rep), self.params["head.bias"])
 
     def forward_sentences(self, sentences: Sequence[Sentence],
                           entity_i: int, entity_j: int) -> BagForward:
@@ -242,14 +239,14 @@ class DirectSupModel(RelationModel):
         self.params["rel.b"] = Tensor(np.zeros(()), requires_grad=True)
 
     def relevance_alphas(self, X: Tensor) -> Tensor:
-        scores = ad.add(ad.matvec(X, self.params["rel.w"]), self.params["rel.b"])
+        scores = ad.add(ad.matmul(X, self.params["rel.w"]), self.params["rel.b"])
         return ad.sigmoid(scores)
 
     def _bag_logits(self, X: Tensor, entity_i: int, entity_j: int) -> tuple[Tensor, Tensor, Tensor]:
         alphas = self.relevance_alphas(X)
         rep = ad.rows_max(ad.mul(X, ad.reshape(alphas, (X.shape[0], 1))))
         fused = self._fuse_vec(rep, entity_i, entity_j) if self.cfg.fusion else rep
-        logits = ad.add(ad.matvec(self.params["head.rel"], fused), self.params["head.bias"])
+        logits = ad.add(ad.matmul(self.params["head.rel"], fused), self.params["head.bias"])
         return alphas, rep, logits
 
 
@@ -272,7 +269,7 @@ class CnnsAttModel(RelationModel):
         alphas = self.attention_alphas(X)
         reps = ad.transpose(ad.matmul(ad.transpose(X), alphas))  # (K, d), row k = rep for k
         fused = self._fuse_rows(reps, entity_i, entity_j) if self.cfg.fusion else reps
-        logits = ad.add(ad.sum_axis(ad.mul(fused, self.params["head.rel"]), 1),
+        logits = ad.add(ad.reduce_sum(ad.mul(fused, self.params["head.rel"]), 1),
                         self.params["head.bias"])
         return alphas, reps, logits
 
@@ -317,18 +314,20 @@ def label_vector(bag: Bag, n_relations: int) -> np.ndarray:
     return y
 
 
-def bce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Multi-label binary cross entropy over one bag's K logits.
+def _clamped_bce(p: Tensor, y: np.ndarray) -> Tensor:
+    """-sum(y log p + (1 - y) log(1 - p)), with p clamped to [eps, 1-eps] before the logs."""
+    p = ad.clamp(p, BCE_EPS, 1.0 - BCE_EPS)
+    pos = ad.reduce_sum(ad.mul(ad.log(p), y))
+    neg = ad.reduce_sum(ad.mul(ad.log(ad.sub(1.0, p)), 1.0 - y))
+    return ad.mul(ad.add(pos, neg), -1.0)
 
-    Probabilities are clamped to [eps, 1-eps] before the logs.
-    """
+
+def bce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Multi-label binary cross entropy over one bag's K logits."""
     labels = np.asarray(labels, dtype=np.float64)
     if labels.shape != logits.shape:
         raise ValueError(f"labels shape {labels.shape} != logits shape {logits.shape}")
-    p = ad.clamp(ad.sigmoid(logits), BCE_EPS, 1.0 - BCE_EPS)
-    pos = ad.sum_all(ad.cmul(ad.log(p), labels))
-    neg = ad.sum_all(ad.cmul(ad.log(ad.cadd(ad.neg(p), 1.0)), 1.0 - labels))
-    return ad.neg(ad.add(pos, neg))
+    return _clamped_bce(ad.sigmoid(logits), labels)
 
 
 def relevance_loss(alphas: Tensor, labels: Sequence[bool]) -> Tensor:
@@ -336,7 +335,4 @@ def relevance_loss(alphas: Tensor, labels: Sequence[bool]) -> Tensor:
     y = np.array([1.0 if v else 0.0 for v in labels])
     if y.shape != alphas.shape:
         raise ValueError(f"{len(labels)} labels for alphas of shape {alphas.shape}")
-    a = ad.clamp(alphas, BCE_EPS, 1.0 - BCE_EPS)
-    pos = ad.sum_all(ad.cmul(ad.log(a), y))
-    neg = ad.sum_all(ad.cmul(ad.log(ad.cadd(ad.neg(a), 1.0)), 1.0 - y))
-    return ad.neg(ad.add(pos, neg))
+    return _clamped_bce(alphas, y)

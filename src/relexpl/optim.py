@@ -50,21 +50,25 @@ class Adam:
         self._buf = {name: (np.empty_like(p.data), np.empty_like(p.data))
                      for name, p in params.items()}
 
-    def step(self):
-        """Apply one update from the accumulated .grad fields, then zero them.
+    def step(self, grads: dict[str, np.ndarray]):
+        """Apply one update from grads, one gradient array per parameter name.
 
-        The update is m <- b1 m + (1 - b1) g, v <- b2 v + (1 - b2) g g and
-        p <- p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), computed
-        in place with the same operations in the same order.
+        The gradients are only read. The update is m <- b1 m + (1 - b1) g,
+        v <- b2 v + (1 - b2) g g and
+        p <- p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps),
+        computed in place with the same operations in the same order.
         """
+        for name, p in self.params.items():  # checked before any state changes
+            if name not in grads:
+                raise ValueError(f"parameter {name!r} has no gradient")
+            if grads[name].shape != p.data.shape:
+                raise ValueError(f"parameter {name!r}: gradient of shape {grads[name].shape}, "
+                                 f"expected {p.data.shape}")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for name in sorted(self.params):
-            p = self.params[name]
-            if p.grad is None:
-                raise ValueError(f"parameter {name!r} has no gradient; call backward first")
-            g = p.grad
+            g = grads[name]
             m = self._m[name]
             v = self._v[name]
             a, b = self._buf[name]
@@ -81,13 +85,7 @@ class Adam:
             np.sqrt(b, out=b)
             b += self.eps
             a /= b
-            p.data -= a
-            g.fill(0.0)
-
-    def zero_grad(self):
-        for p in self.params.values():
-            if p.grad is not None:
-                p.grad[...] = 0.0
+            self.params[name].data -= a
 
 
 def save_checkpoint(path: str, params: dict[str, Tensor], extra: dict | None = None):

@@ -103,7 +103,8 @@ def train_model(model: RelationModel, bags: Sequence[Bag], cfg: TrainConfig) -> 
     index = build_index(train_bags) if use_ld else None
 
     K = model.cfg.n_relations
-    opt = Adam(model.trainable_params(), lr=cfg.lr)
+    params = model.trainable_params()
+    opt = Adam(params, lr=cfg.lr)
     best = _snapshot(model)  # stands until the first epoch completes
     best_auc = -np.inf
     best_epoch = -1
@@ -146,8 +147,8 @@ def train_model(model: RelationModel, bags: Sequence[Bag], cfg: TrainConfig) -> 
             if not math.isfinite(value):
                 raise ValueError(f"training loss is {value} in epoch {epoch} at bag "
                                  f"{bag.bag_id!r}; the parameters diverged")
-            loss.backward()
-            opt.step()
+            grads = ad.backward(loss, params.values())
+            opt.step(dict(zip(params, grads)))
             total_loss += value
 
         val_auc = _validation_auc(model, val_bags)

@@ -136,17 +136,17 @@ def _op_cases(rng):
         # drawn once per case, then bound as a lambda default: the builder
         # must stay a fixed function across the FD probe evaluations
         W = rng.standard_normal(shape)
-        return lambda t: ad.sum_all(ad.cmul(t, W))
+        return lambda t: ad.reduce_sum(ad.mul(t, W))
 
     WA = wsum((n, m))
     return [
         ("add", lambda a, b: WA(ad.add(a, b)), [A, B]),
         ("sub", lambda a, b: WA(ad.sub(a, b)), [A, B]),
         ("mul", lambda a, b: WA(ad.mul(a, b)), [A, B]),
-        ("scale", lambda a: WA(ad.scale(a, 1.7)), [A]),
-        ("neg", lambda a: WA(ad.neg(a)), [A]),
-        ("cadd", lambda a: WA(ad.cadd(a, 0.3)), [A]),
-        ("cmul", lambda a: WA(ad.cmul(a, B)), [A]),
+        ("scale", lambda a: WA(ad.mul(a, 1.7)), [A]),
+        ("neg", lambda a: WA(ad.mul(a, -1.0)), [A]),
+        ("cadd", lambda a: WA(ad.add(a, 0.3)), [A]),
+        ("cmul", lambda a: WA(ad.mul(a, B)), [A]),
         ("relu", lambda a: WA(ad.relu(a)), [off]),
         ("absolute", lambda a: WA(ad.absolute(a)), [off]),
         ("clamp", lambda a: WA(ad.clamp(a, -0.5, 0.5)), [clampable]),
@@ -155,9 +155,9 @@ def _op_cases(rng):
         ("reciprocal", lambda a: WA(ad.reciprocal(a)), [pos]),
         ("transpose", lambda a, _w=wsum((m, n)): _w(ad.transpose(a)), [A]),
         ("matmul", lambda a, b, _w=wsum((n, c)): _w(ad.matmul(a, b)), [A, Mm]),
-        ("matvec", lambda a, x, _w=wsum((n,)): _w(ad.matvec(a, x)), [A, v]),
-        ("outer", lambda a, b, _w=wsum((n, m)): _w(ad.outer(a, b)), [u, v]),
-        ("dot", lambda a, b: ad.dot(a, b), [v, w]),
+        ("matvec", lambda a, x, _w=wsum((n,)): _w(ad.matmul(a, x)), [A, v]),
+        ("outer", lambda a, b, _w=wsum((n, m)): _w(ad.mul(ad.reshape(a, (n, 1)), b)), [u, v]),
+        ("dot", lambda a, b: ad.reduce_sum(ad.mul(a, b)), [v, w]),
         ("add_row_broadcast", lambda a, x: WA(ad.add(a, x)), [A, v]),
         ("sub_row_broadcast", lambda a, x: WA(ad.sub(a, x)), [A, v]),
         ("mul_row_broadcast", lambda a, x: WA(ad.mul(a, x)), [A, v]),
@@ -166,11 +166,11 @@ def _op_cases(rng):
         ("sub_scalar_broadcast", lambda a, t: WA(ad.sub(a, t)), [A, s0]),
         ("broadcast_to_scalar", lambda t: WA(ad.broadcast_to(t, (n, m))), [s0]),
         ("broadcast_to_row", lambda x: WA(ad.broadcast_to(x, (n, m))), [v]),
-        ("sum_all", lambda a: ad.sum_all(a), [A]),
-        ("sum_axis0", lambda a, _w=wsum((m,)): _w(ad.sum_axis(a, 0)), [A]),
-        ("sum_axis1", lambda a, _w=wsum((n,)): _w(ad.sum_axis(a, 1)), [A]),
-        ("l1norm", lambda a: ad.l1norm(a), [off]),
-        ("vec_max", lambda x: ad.vec_max(x), [vmax]),
+        ("sum_all", lambda a: ad.reduce_sum(a), [A]),
+        ("sum_axis0", lambda a, _w=wsum((m,)): _w(ad.reduce_sum(a, 0)), [A]),
+        ("sum_axis1", lambda a, _w=wsum((n,)): _w(ad.reduce_sum(a, 1)), [A]),
+        ("l1norm", lambda a: ad.reduce_sum(ad.absolute(a)), [off]),
+        ("vec_max", lambda x: ad.take(x, int(np.argmax(x.data))), [vmax]),
         ("rows_max", lambda a, _w=wsum((m,)): _w(ad.rows_max(a)), [rmax]),
         ("put_colwise",
          lambda x, _w=wsum((n, m)): _w(ad.put(x, (col_idx, np.arange(m)), (n, m))), [v]),
@@ -188,7 +188,10 @@ def _op_cases(rng):
         ("put_cols",
          lambda a, _w=wsum((n, m + 3)): _w(ad.put(a, (slice(None), slice(1, 1 + m)), (n, m + 3))),
          [A]),
-        ("stack_rows", lambda a, b, _w=wsum((2, m)): _w(ad.stack_rows([a, b])), [v, w]),
+        ("stack_rows",
+         lambda a, b, _w=wsum((2, m)): _w(ad.concat([ad.reshape(a, (1, m)),
+                                                     ad.reshape(b, (1, m))])),
+         [v, w]),
         ("take_int_row", lambda a, _w=wsum((m,)): _w(ad.take(a, 1)), [A]),
         ("put_int_row", lambda x, _w=wsum((n, m)): _w(ad.put(x, 1, (n, m))), [v]),
         ("take_int", lambda x: ad.take(x, 2), [v]),
@@ -339,7 +342,7 @@ def test_criterion_2_definitional_oracles():
     model.params["head.rel"].data[0] = [1.0, -2.0, 3.0]
     model.params["head.rel"].data[1] = [0.5, 0.0, -1.0]
     bag = make_bag(n_sent=1)
-    x = model.encode_sentence(bag.sentences[0]).data
+    x = model.encode_bag(bag.sentences[:1]).data[0]
     for k, w in ((0, np.array([1.0, -2.0, 3.0])), (1, np.array([0.5, 0.0, -1.0]))):
         gi = grad_input(model, bag, k)[0]
         sal = saliency(model, bag, k)[0]

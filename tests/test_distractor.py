@@ -345,13 +345,13 @@ class TestNoReferenceCycles:
         # second-order graph is freed by reference counting alone
         model, aug = TestAugmentedLoss().fixtures(kind=kind)
         base = aug.base
-        opt = Adam(model.trainable_params(), lr=0.01)
+        params = model.trainable_params()
+        opt = Adam(params, lr=0.01)
         gc.collect()
         gc.disable()
         try:
             loss = _step_loss(model, base, [aug], 1e-5, augmented_bag_loss)
-            loss.backward()
-            opt.step()
+            opt.step(dict(zip(params, ad.backward(loss, params.values()))))
             del loss
             assert gc.collect() == 0
         finally:
@@ -451,3 +451,49 @@ class TestSharedEncodings:
                     TrainConfig(epochs=1, lr=0.01, val_fraction=0.0, ld=True))
         assert sum(calls) == (3 + 2) + 2
         assert len(calls) == (1 + 2) + 1
+
+
+class TestGraphSize:
+    """Graph nodes recorded for one tiny bag, pinned, so an engine change that
+    grows the graph shows here. Three sentences labelled {0, 2}, one
+    6-token distractor per relation."""
+
+    # (kind, fusion) -> nodes after the forward, after the loss, after the --ld loss
+    NODES = {
+        ("cnns-att", False): (25, 36, 153),
+        ("cnns-att", True): (35, 46, 201),
+        ("directsup", False): (23, 45, 156),
+        ("directsup", True): (32, 54, 199),
+    }
+
+    @pytest.mark.parametrize("kind,fusion", list(NODES))
+    def test_recorded_nodes(self, monkeypatch, kind, fusion):
+        cfg = ModelConfig(
+            kind=kind, n_relations=3,
+            encoder=EncoderConfig(vocab_size=30, n_fget=2, d_w=6, d_p=2, pos_clip=4,
+                                  widths=(2, 3), channels=2),
+            fusion=fusion, d_e=4, n_entities=4 if fusion else 0)
+        model = (CnnsAttModel if kind == "cnns-att" else DirectSupModel)(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        tokens = [[int(t) for t in rng.integers(0, 30, size=6)] for _ in range(5)]
+        base = bag("base", {0, 2}, [sent(t) for t in tokens[:3]])
+        augs = [AugmentedBag(base, k, sent(t)) for k, t in zip((0, 2), tokens[3:])]
+        recorded = []
+        node = ad._node
+
+        def counting(data, parents, vjp, op):
+            if ad._recording:
+                recorded.append(op)
+            return node(data, parents, vjp, op)
+
+        monkeypatch.setattr(ad, "_node", counting)
+        fwd = model.forward_bag(base)
+        counts = [len(recorded)]
+        loss = bce_loss(fwd.logits, label_vector(base, 3))
+        if kind == "directsup":
+            loss = ad.add(loss, relevance_loss(fwd.alphas,
+                                               [s.relevance_label for s in base.sentences]))
+        counts.append(len(recorded))
+        combined_loss(loss, [augmented_bag_loss(model, aug, 1e-5, fwd) for aug in augs], 1.0)
+        counts.append(len(recorded))
+        assert tuple(counts) == self.NODES[(kind, fusion)]

@@ -128,7 +128,7 @@ class TestBatchInvariance:
                  ([2, 4, 6], (1, 3), (0, 1))]
         weights = np.random.default_rng(6).normal(size=(3, enc.out_dim))
         trainable = {n: p for n, p in enc.params.items() if p.requires_grad}
-        check_param_grads(lambda: ad.sum_all(ad.mul(enc.encode(items), ad.Tensor(weights))),
+        check_param_grads(lambda: ad.reduce_sum(ad.mul(enc.encode(items), ad.Tensor(weights))),
                           trainable)
 
     def test_empty_bag_rejected(self):
@@ -139,41 +139,41 @@ class TestBatchInvariance:
 class TestEncodeContract:
     def test_output_shape_and_nonnegative(self):
         enc = make_encoder()
-        x = enc.encode([1, 2, 3, 4, 5], (1, 2), (3, 4))
-        assert x.shape == (enc.out_dim,) == (6,)
+        x = enc.encode([([1, 2, 3, 4, 5], (1, 2), (3, 4))])
+        assert x.shape == (1, enc.out_dim) == (1, 6)
         assert np.all(x.data >= 0.0)
 
     def test_length_one_sentence_still_encodes(self):
         # widths 2 and 3 exceed the sentence length; zero padding covers it
         enc = make_encoder()
-        x = enc.encode([7], (0, 1), (0, 1))
-        assert x.shape == (6,)
+        x = enc.encode([([7], (0, 1), (0, 1))])
+        assert x.shape == (1, 6)
         assert np.all(np.isfinite(x.data))
 
     def test_fget_rows_addressable(self):
         enc = make_encoder()
         # type tokens live at rows vocab_size + t
-        x = enc.encode([30, 31, 3], (0, 1), (1, 2))
+        x = enc.encode([([30, 31, 3], (0, 1), (1, 2))])
         assert np.all(np.isfinite(x.data))
 
     def test_unknown_token_rejected(self):
         enc = make_encoder()
         with pytest.raises(ValueError, match="unknown token id 32"):
-            enc.encode([1, 32], (0, 1), (1, 2))
+            enc.encode([([1, 32], (0, 1), (1, 2))])
 
     def test_empty_sentence_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            make_encoder().encode([], (0, 1), (0, 1))
+            make_encoder().encode([([], (0, 1), (0, 1))])
 
     def test_deterministic_given_seed(self):
-        a = make_encoder(seed=3).encode([1, 2, 3, 4], (0, 1), (2, 3))
-        b = make_encoder(seed=3).encode([1, 2, 3, 4], (0, 1), (2, 3))
+        a = make_encoder(seed=3).encode([([1, 2, 3, 4], (0, 1), (2, 3))])
+        b = make_encoder(seed=3).encode([([1, 2, 3, 4], (0, 1), (2, 3))])
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_depends_on_mention_positions(self):
         enc = make_encoder()
-        a = enc.encode([1, 2, 3, 4], (0, 1), (2, 3))
-        b = enc.encode([1, 2, 3, 4], (1, 2), (2, 3))
+        a = enc.encode([([1, 2, 3, 4], (0, 1), (2, 3))])
+        b = enc.encode([([1, 2, 3, 4], (1, 2), (2, 3))])
         assert not np.allclose(a.data, b.data)
 
     def test_frozen_and_trainable_split(self):
@@ -190,18 +190,19 @@ class TestEncoderGradients:
         weights = np.random.default_rng(2).normal(size=enc.out_dim)
 
         def forward():
-            return ad.dot(enc.encode(tokens, mi, mj), ad.Tensor(weights))
+            return ad.reduce_sum(ad.mul(enc.encode([(tokens, mi, mj)]), weights))
 
         trainable = {n: p for n, p in enc.params.items() if p.requires_grad}
         check_param_grads(forward, trainable)
 
     def test_frozen_table_untouched_by_backward(self):
         enc = make_encoder(seed=1)
-        root = ad.sum_all(enc.encode([3, 9, 1], (0, 1), (2, 3)))
-        root.backward()
-        assert enc.params["embed.tokens"].grad is None  # frozen: no accumulation
-        assert np.any(enc.params["embed.pos_i"].grad != 0.0)
-        assert np.any(enc.params["enc.w2.filters"].grad != 0.0)
+        root = ad.reduce_sum(enc.encode([([3, 9, 1], (0, 1), (2, 3))]))
+        with pytest.raises(ad.GraphError):  # frozen: no gradient to take
+            ad.backward(root, [enc.params["embed.tokens"]])
+        g_pos, g_filters = ad.backward(root, [enc.params["embed.pos_i"],
+                                              enc.params["enc.w2.filters"]])
+        assert np.any(g_pos != 0.0) and np.any(g_filters != 0.0)
 
 
 class TestEmbeddingFile:

@@ -159,7 +159,7 @@ class TestAttention:
 
     def test_selecting_weight_selects_sentence(self):
         # alpha = (1, 0) -> rep equals the first encoding
-        rep = ad.matvec(ad.transpose(Tensor([[1.0, 2.0], [3.0, 4.0]])), Tensor([1.0, 0.0]))
+        rep = ad.matmul(ad.transpose(Tensor([[1.0, 2.0], [3.0, 4.0]])), Tensor([1.0, 0.0]))
         np.testing.assert_allclose(rep.data, [1.0, 2.0], rtol=1e-12)
 
     def test_permutation_invariance(self):

@@ -92,3 +92,4 @@ def test_pipeline_calls_every_required_span(tracer, tmp_path):
     assert [name for name in workloads.REQUIRED_SPANS if name not in called] == []
     layers = tracing.per_layer(tracer, workloads.TRACED_OPS, list(workloads.MODELS))
     assert layers["encoder.encode.calls"] > 0
+    assert layers["autodiff.grad1.s"] > 0  # the training backward's grad span
