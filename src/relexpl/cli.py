@@ -49,6 +49,7 @@ from .evaluation import (
 )
 from .explain import METHODS, explain_corpus, load_scores, write_scores
 from .models import ModelConfig, build_model, load_model
+from .optim import data_path
 from .synthetic import GenConfig, generate_synthetic_corpus
 from .training import TrainConfig, train_model
 
@@ -177,14 +178,15 @@ def cmd_train(args) -> int:
     result = train_model(model, bags, train_cfg)
 
     os.makedirs(args.out, exist_ok=True)
-    model.save(os.path.join(args.out, "checkpoint.json"),
-               extra={"seed": args.seed, "train_config": asdict(train_cfg)})
+    checkpoint = os.path.join(args.out, "checkpoint.json")
+    model.save(checkpoint, extra={"seed": args.seed, "train_config": asdict(train_cfg)})
     metrics = {
         "best_epoch": result.best_epoch,
         "best_val_auc": result.best_val_auc,
         "history": result.history,
     }
-    _write_manifest(args.out, "train", args, ["checkpoint.json"], metrics=metrics)
+    outputs = [os.path.basename(p) for p in (checkpoint, data_path(checkpoint))]
+    _write_manifest(args.out, "train", args, outputs, metrics=metrics)
     return EXIT_OK
 
 

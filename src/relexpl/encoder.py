@@ -102,6 +102,35 @@ def checked_fields(d, what: str, types: dict[str, type]) -> dict:
     return d
 
 
+def checked_array(arrays: dict[str, np.ndarray], name: str,
+                  shape: tuple[int, ...]) -> np.ndarray:
+    """arrays[name], a checkpoint's tensor for the parameter `name`, checked to have `shape`."""
+    if name not in arrays:
+        raise ValueError(f"checkpoint has no parameter {name!r}")
+    a = arrays[name]
+    if a.shape != shape:
+        raise ValueError(f"parameter {name!r}: checkpoint shape {a.shape} != model {shape}")
+    return a
+
+
+def add_param(params: dict[str, Tensor], init: np.random.Generator | dict[str, np.ndarray],
+              name: str, shape: tuple[int, ...], zeros: bool = False,
+              requires_grad: bool = True):
+    """Set params[name] to a new parameter of the given shape.
+
+    With a Generator for init the values are N(0, 0.1) draws, or zeros
+    (which draw nothing), so a seed fixes every parameter through the
+    order of these calls. With a checkpoint's arrays for init the
+    parameter adopts arrays[name], checked by `checked_array`, and nothing
+    is drawn.
+    """
+    if isinstance(init, np.random.Generator):
+        data = np.zeros(shape) if zeros else init.normal(0.0, 0.1, size=shape)
+    else:
+        data = checked_array(init, name, shape)
+    params[name] = Tensor(data, requires_grad=requires_grad)
+
+
 def relative_position(token_idx: int, span: tuple[int, int], clip: int) -> int:
     """Signed distance to the nearest token of a half-open span, clipped to [-clip, clip]."""
     start, end = span
@@ -126,28 +155,20 @@ def _position_rows(t: np.ndarray, start, end, clip: int) -> np.ndarray:
 class SentenceEncoder:
     """Owns the embedding tables and filter banks; encodes the sentences of a bag to R^d."""
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
+    def __init__(self, cfg: EncoderConfig, init: np.random.Generator | dict[str, np.ndarray]):
+        """init draws the parameters or holds a checkpoint's arrays to adopt (see add_param)."""
         cfg.validate()
         self.cfg = cfg
         d_in = cfg.d_w + 2 * cfg.d_p
-        self.params: dict[str, Tensor] = {}
-        self.params["embed.tokens"] = Tensor(
-            rng.normal(0.0, 0.1, size=(cfg.token_rows, cfg.d_w)), requires_grad=False
-        )
         n_pos_rows = 2 * cfg.pos_clip + 1
-        self.params["embed.pos_i"] = Tensor(
-            rng.normal(0.0, 0.1, size=(n_pos_rows, cfg.d_p)), requires_grad=True
-        )
-        self.params["embed.pos_j"] = Tensor(
-            rng.normal(0.0, 0.1, size=(n_pos_rows, cfg.d_p)), requires_grad=True
-        )
+        self.params: dict[str, Tensor] = {}
+        add_param(self.params, init, "embed.tokens", (cfg.token_rows, cfg.d_w),
+                  requires_grad=False)
+        add_param(self.params, init, "embed.pos_i", (n_pos_rows, cfg.d_p))
+        add_param(self.params, init, "embed.pos_j", (n_pos_rows, cfg.d_p))
         for w in sorted(cfg.widths):
-            self.params[f"enc.w{w}.filters"] = Tensor(
-                rng.normal(0.0, 0.1, size=(w * d_in, cfg.channels)), requires_grad=True
-            )
-            self.params[f"enc.w{w}.bias"] = Tensor(
-                np.zeros(cfg.channels), requires_grad=True
-            )
+            add_param(self.params, init, f"enc.w{w}.filters", (w * d_in, cfg.channels))
+            add_param(self.params, init, f"enc.w{w}.bias", (cfg.channels,), zeros=True)
 
     @property
     def out_dim(self) -> int:

@@ -26,7 +26,7 @@ from . import autodiff as ad
 from . import optim
 from .autodiff import Tensor
 from .corpus import Bag, ReprMode, Sentence, apply_repr_mode
-from .encoder import EncoderConfig, SentenceEncoder, checked_fields
+from .encoder import EncoderConfig, SentenceEncoder, add_param, checked_fields
 
 BCE_EPS = 1e-12
 
@@ -101,28 +101,34 @@ class BagForward:
 class RelationModel:
     """Shared machinery: encoding, fusion, prediction, loss."""
 
-    def __init__(self, cfg: ModelConfig, seed: int):
+    def __init__(self, cfg: ModelConfig, seed: int | None = None,
+                 arrays: dict[str, np.ndarray] | None = None):
+        """Draw the parameters from seed, or adopt a checkpoint's arrays; give exactly one.
+
+        Adopted arrays are checked for their names and shapes (see
+        `add_param`), and nothing is drawn.
+        """
         cfg.validate()
+        if (seed is None) == (arrays is None):
+            raise ValueError("a model is built from a seed or from checkpoint arrays")
         self.cfg = cfg
-        rng = np.random.default_rng(seed)
-        self.encoder = SentenceEncoder(cfg.encoder, rng)
+        init = np.random.default_rng(seed) if arrays is None else arrays
+        self.encoder = SentenceEncoder(cfg.encoder, init)
         self.params: dict[str, Tensor] = dict(self.encoder.params)
         d = cfg.encoder.out_dim
         if cfg.fusion:
-            self.params["fuse.entities"] = Tensor(
-                rng.normal(0.0, 0.1, size=(cfg.n_entities, cfg.d_e)), requires_grad=False
-            )
-            self.params["fuse.proj"] = Tensor(
-                rng.normal(0.0, 0.1, size=(d + 2 * cfg.d_e, d)), requires_grad=True
-            )
-            self.params["fuse.bias"] = Tensor(np.zeros(d), requires_grad=True)
-        self.params["head.rel"] = Tensor(
-            rng.normal(0.0, 0.1, size=(cfg.n_relations, d)), requires_grad=True
-        )
-        self.params["head.bias"] = Tensor(np.zeros(cfg.n_relations), requires_grad=True)
-        self._init_specific(rng, d)
+            add_param(self.params, init, "fuse.entities", (cfg.n_entities, cfg.d_e),
+                      requires_grad=False)
+            add_param(self.params, init, "fuse.proj", (d + 2 * cfg.d_e, d))
+            add_param(self.params, init, "fuse.bias", (d,), zeros=True)
+        add_param(self.params, init, "head.rel", (cfg.n_relations, d))
+        add_param(self.params, init, "head.bias", (cfg.n_relations,), zeros=True)
+        self._init_specific(init, d)
+        if arrays is not None and len(arrays) != len(self.params):
+            raise ValueError("checkpoint has parameters the model does not: "
+                             f"{sorted(set(arrays) - set(self.params))}")
 
-    def _init_specific(self, rng: np.random.Generator, d: int):
+    def _init_specific(self, init: np.random.Generator | dict[str, np.ndarray], d: int):
         raise NotImplementedError
 
     # -- encoding -----------------------------------------------------------
@@ -234,9 +240,9 @@ class RelationModel:
 class DirectSupModel(RelationModel):
     """Relevance-classifier weighting with max pooling over weighted encodings."""
 
-    def _init_specific(self, rng: np.random.Generator, d: int):
-        self.params["rel.w"] = Tensor(rng.normal(0.0, 0.1, size=d), requires_grad=True)
-        self.params["rel.b"] = Tensor(np.zeros(()), requires_grad=True)
+    def _init_specific(self, init: np.random.Generator | dict[str, np.ndarray], d: int):
+        add_param(self.params, init, "rel.w", (d,))
+        add_param(self.params, init, "rel.b", (), zeros=True)
 
     def relevance_alphas(self, X: Tensor) -> Tensor:
         scores = ad.add(ad.matmul(X, self.params["rel.w"]), self.params["rel.b"])
@@ -253,11 +259,9 @@ class DirectSupModel(RelationModel):
 class CnnsAttModel(RelationModel):
     """Per-relation attention over sentence encodings."""
 
-    def _init_specific(self, rng: np.random.Generator, d: int):
-        self.params["att.query"] = Tensor(
-            rng.normal(0.0, 0.1, size=(self.cfg.n_relations, d)), requires_grad=True
-        )
-        self.params["att.diag"] = Tensor(rng.normal(0.0, 0.1, size=d), requires_grad=True)
+    def _init_specific(self, init: np.random.Generator | dict[str, np.ndarray], d: int):
+        add_param(self.params, init, "att.query", (self.cfg.n_relations, d))
+        add_param(self.params, init, "att.diag", (d,))
 
     def attention_alphas(self, X: Tensor) -> Tensor:
         """(N, K): column k is the softmax over sentences for relation k."""
@@ -274,22 +278,25 @@ class CnnsAttModel(RelationModel):
         return alphas, reps, logits
 
 
+_MODELS = {KIND_DIRECTSUP: DirectSupModel, KIND_CNNS_ATT: CnnsAttModel}
+
+
 def build_model(cfg: ModelConfig, seed: int) -> RelationModel:
     cfg.validate()
-    if cfg.kind == KIND_DIRECTSUP:
-        return DirectSupModel(cfg, seed)
-    return CnnsAttModel(cfg, seed)
+    return _MODELS[cfg.kind](cfg, seed)
 
 
 def load_model(path: str) -> tuple[RelationModel, dict]:
-    """Rebuild a model from a checkpoint; returns (model, sidecar metadata)."""
+    """Rebuild a model from a checkpoint; returns (model, sidecar metadata).
+
+    The model adopts the checkpoint's arrays as its parameters, checked
+    for names and shapes against its config; it draws no random numbers.
+    """
     arrays, extra = optim.load_checkpoint(path)
     if "config" not in extra:
         raise ValueError(f"checkpoint {path} has no model 'config' in its extra block")
     cfg = ModelConfig.from_dict(extra["config"])
-    model = build_model(cfg, seed=0)
-    optim.restore_params(model.params, arrays)
-    return model, extra
+    return _MODELS[cfg.kind](cfg, arrays=arrays), extra
 
 
 # ---------------------------------------------------------------------------

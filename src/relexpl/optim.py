@@ -1,15 +1,25 @@
 """Adam optimizer over named parameter dicts, plus checkpoint save/load.
 
-A checkpoint is one JSON object written with sorted keys (format 2)::
+A checkpoint (format 3) is a pair of files: a JSON header at the given
+path, say ``run/checkpoint.json``, and a data file beside it with the
+same stem and the suffix ``.bin`` (``run/checkpoint.bin``). The data file
+holds each tensor's C-order little-endian float64 bytes, back to back in
+sorted-name order. The header is one sorted-key JSON object::
 
     {"extra": {...},
-     "format": 2,
-     "params": {name: {"data": b64, "sha256": hex, "shape": [...]}, ...}}
+     "format": 3,
+     "params": {name: {"offset": int, "sha256": hex, "shape": [...]}, ...}}
 
-``data`` is base64 of the tensor's C-order little-endian float64 bytes
-and ``sha256`` the hex digest of those bytes, so a parameter reloads
-bit-exactly and corruption is caught. Format 1 stored ``data`` as a flat
-list of floats; it is still read, never written.
+``offset`` is where the tensor's bytes start in the data file and
+``sha256`` their hex digest, so a parameter reloads bit-exactly and a
+damaged or mismatched data file is caught. The header does not name the
+data file, so equal tensors give equal header bytes wherever they are
+saved. Copy or move a checkpoint as both files.
+
+Formats 1 and 2 are single JSON files whose ``params`` entries carry the
+values inline: format 1 as a flat list of floats in ``data``, format 2 as
+base64 of the float64 bytes in ``data`` beside ``sha256``. Both are still
+read, never written.
 """
 
 from __future__ import annotations
@@ -23,8 +33,9 @@ import os
 import numpy as np
 
 from .autodiff import Tensor
+from .encoder import checked_array, checked_fields
 
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 
 class Adam:
@@ -88,36 +99,58 @@ class Adam:
             self.params[name].data -= a
 
 
-def save_checkpoint(path: str, params: dict[str, Tensor], extra: dict | None = None):
-    """Write parameters as one sorted-key JSON object in format 2.
+def data_path(path: str) -> str:
+    """The data file of the checkpoint whose header is at path: its stem plus ``.bin``."""
+    data = os.path.splitext(path)[0] + ".bin"
+    if data == path:
+        raise ValueError(f"checkpoint header {path} would be its own data file; "
+                         "name it with another suffix, such as .json")
+    return data
 
-    The file is ``{"format": 2, "params": {...}, "extra": {...}}``; each
-    ``params`` entry is ``{"shape": [...], "sha256": hex, "data": b64}``,
-    where ``data`` is base64 of the tensor's C-order little-endian float64
-    bytes and ``sha256`` the hex digest of those bytes. ``extra`` is
-    omitted when empty. Exact and byte-stable; written to ``path + ".tmp"``
-    and then renamed over ``path``. A non-finite parameter raises
-    ValueError before anything is written, as `load_checkpoint` would
-    refuse the file.
-    """
-    entries = {}
-    for name, p in params.items():
-        if not np.isfinite(p.data).all():
-            raise ValueError(f"parameter {name!r} holds non-finite values")
-        raw = np.asarray(p.data, dtype="<f8").tobytes(order="C")
-        entries[name] = {
-            "shape": list(p.data.shape),
-            "sha256": hashlib.sha256(raw).hexdigest(),
-            "data": base64.b64encode(raw).decode("ascii"),
-        }
-    payload = {"format": CHECKPOINT_FORMAT, "params": entries}
-    if extra:
-        payload["extra"] = extra
+
+def _replace(path: str, chunks):
+    """Write the byte chunks to path + ".tmp", then rename it over path."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    with open(tmp, "wb") as fh:
+        fh.writelines(chunks)
     os.replace(tmp, path)
+
+
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ValueError(f"parameter {name!r} holds non-finite values")
+    return a
+
+
+def save_checkpoint(path: str, params: dict[str, Tensor], extra: dict | None = None):
+    """Write parameters as a format-3 checkpoint: the header at path, the data beside it.
+
+    The data file (`data_path`) gets each tensor's C-order little-endian
+    float64 bytes in sorted-name order; the header gets ``{"extra": extra
+    or {}, "format": 3, "params": {name: {"offset", "sha256", "shape"}}}``
+    as sorted-key JSON. So the same tensors and extra give the same bytes
+    in both files, and they reload bit-exactly.
+
+    A non-finite parameter raises ValueError before any file is written,
+    as `load_checkpoint` would refuse it. The data file is written to a
+    temporary name and renamed into place first, then the header the same
+    way. The header is the commit point: it pins every tensor's bytes by
+    sha256, so a save cut off between the two renames leaves a header that
+    refuses the data beside it instead of loading it.
+    """
+    names = sorted(params)
+    blobs = [np.asarray(_finite(params[name].data, name), dtype="<f8", order="C")
+             for name in names]
+    entries = {}
+    offset = 0
+    for name, a in zip(names, blobs):
+        entries[name] = {"offset": offset, "sha256": hashlib.sha256(a).hexdigest(),
+                         "shape": list(a.shape)}
+        offset += a.nbytes
+    header = json.dumps({"extra": extra or {}, "format": CHECKPOINT_FORMAT, "params": entries},
+                        sort_keys=True)
+    _replace(data_path(path), blobs)
+    _replace(path, [header.encode("ascii"), b"\n"])
 
 
 def _field(entry: dict, key: str, kind: type, name: str):
@@ -166,21 +199,68 @@ def _decode_v2(entry: dict, name: str) -> np.ndarray:
 _DECODERS = {1: _decode_v1, 2: _decode_v2}
 
 
+def _read_v3(path: str, params: dict) -> dict[str, np.ndarray]:
+    """The tensors a format-3 header lists, read from its data file in one read().
+
+    The arrays are disjoint, writable views of the one buffer read.
+    """
+    layout = []  # (name, shape, start, stop, sha256) in sorted-name order
+    end = 0
+    for name in sorted(params):
+        entry = checked_fields(params[name], f"parameter {name!r} entry",
+                               {"offset": int, "sha256": str, "shape": list})
+        shape = _shape(entry, name)
+        if entry["offset"] != end:
+            raise ValueError(f"parameter {name!r}: offset {entry['offset']}, expected {end}: "
+                             "tensors lie back to back in sorted-name order from byte 0")
+        layout.append((name, shape, end, end + 8 * math.prod(shape), entry["sha256"]))
+        end = layout[-1][3]
+    data = data_path(path)
+    with open(data, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < end:
+            name, shape, start, stop, _ = next(t for t in layout if t[3] > size)
+            raise ValueError(f"parameter {name!r}: shape {list(shape)} needs bytes {start} to "
+                             f"{stop} of {data}, which has {size}")
+        if size > end:
+            last = f"parameter {layout[-1][0]!r}: the last tensor" if layout else "the layout"
+            raise ValueError(f"{last} ends at byte {end}, but {data} has {size} bytes")
+        buf = np.empty(end // 8, dtype="<f8")
+        if fh.readinto(buf) != end:
+            raise ValueError(f"{data} changed while it was read")
+    arrays = {}
+    for name, shape, start, stop, digest in layout:
+        flat = buf[start // 8:stop // 8]
+        if hashlib.sha256(flat).hexdigest() != digest:
+            raise ValueError(f"parameter {name!r}: sha256 mismatch, checkpoint data is corrupt")
+        arrays[name] = _finite(flat.reshape(shape), name)
+    return arrays
+
+
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint back as plain float64 arrays plus the extra dict.
 
-    Reads format 2 (see `save_checkpoint`) and format 1, where ``data`` is
-    the flat list of floats. Any structural fault, a digest mismatch or a
-    non-finite value raises ValueError naming the cause and the parameter.
+    A format-3 header (see `save_checkpoint`) must hold exactly the fields
+    written: its offsets must be the running sum, in sorted-name order, of
+    the tensor sizes, and the data file, read in one read(), exactly as
+    long as that sum; each tensor's bytes must match their sha256. Formats
+    1 and 2 carry their values in the one JSON file. In every format a
+    structural fault, a digest mismatch or a non-finite value raises
+    ValueError naming the cause and the parameter; a missing data file
+    raises FileNotFoundError naming the file.
     """
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint must be a JSON object, got {type(payload).__name__}")
     fmt = payload.get("format")
+    if type(fmt) is int and fmt == CHECKPOINT_FORMAT:
+        header = checked_fields(payload, "checkpoint header",
+                                {"extra": dict, "format": int, "params": dict})
+        return _read_v3(path, header["params"]), header["extra"]
     decode = _DECODERS.get(fmt) if type(fmt) is int else None
     if decode is None:
-        raise ValueError(f"unsupported checkpoint format {fmt!r}, expected 1 or 2")
+        raise ValueError(f"unsupported checkpoint format {fmt!r}, expected 1, 2 or 3")
     params = payload.get("params")
     if not isinstance(params, dict):
         raise ValueError("checkpoint 'params' must be a JSON object")
@@ -191,21 +271,15 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     for name, entry in params.items():
         if not isinstance(entry, dict):
             raise ValueError(f"parameter {name!r}: entry must be a JSON object")
-        a = decode(entry, name)
-        if not np.isfinite(a).all():
-            raise ValueError(f"parameter {name!r} holds non-finite values")
-        arrays[name] = a
+        arrays[name] = _finite(decode(entry, name), name)
     return arrays, extra
 
 
 def restore_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]):
-    """Copy loaded arrays into an existing parameter dict, shape-checked."""
+    """Copy loaded arrays into an existing parameter dict, name- and shape-checked."""
     missing = sorted(set(params) - set(arrays))
     unexpected = sorted(set(arrays) - set(params))
     if missing or unexpected:
         raise ValueError(f"checkpoint mismatch: missing {missing}, unexpected {unexpected}")
     for name, p in params.items():
-        a = arrays[name]
-        if a.shape != p.data.shape:
-            raise ValueError(f"parameter {name!r}: checkpoint shape {a.shape} != model {p.data.shape}")
-        p.data[...] = a
+        p.data[...] = checked_array(arrays, name, p.data.shape)

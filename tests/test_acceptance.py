@@ -647,8 +647,8 @@ def test_criterion_6_determinism(tmp_path):
         _cli("train", "--corpus", train, "--model", "cnns-att", "--ld",
              "--epochs", "2", "--lr", "0.01", "--seed", "3",
              "--out", tmp_path / d, *SMALL_ENC)
-    compare("checkpoint.json", tmp_path / "run1" / "checkpoint.json",
-            tmp_path / "run2" / "checkpoint.json")
+    for name in ("checkpoint.json", "checkpoint.bin"):
+        compare(name, tmp_path / "run1" / name, tmp_path / "run2" / name)
 
     ckpt = tmp_path / "run1" / "checkpoint.json"
     for d in ("ev1", "ev2"):
@@ -671,7 +671,7 @@ def test_criterion_6_determinism(tmp_path):
             tmp_path / "ke2" / "kendall.csv")
 
     _verdict(6, "determinism", failures,
-             "7 artifacts (corpus splits, checkpoint, metrics, curve, "
+             "8 artifacts (corpus splits, checkpoint header and data, metrics, curve, "
              "scores, correlations) byte-identical across two runs of "
              "every stage")
 

@@ -2,14 +2,18 @@
 checkpoint round trips and the loader's refusal of damaged files."""
 
 import base64
+import hashlib
 import json
+import re
+import shutil
 
 import numpy as np
 import pytest
 
 from relexpl import autodiff as ad
+from relexpl import optim
 from relexpl.autodiff import Tensor
-from relexpl.cli import EXIT_INVALID, EXIT_OK, main
+from relexpl.cli import EXIT_INVALID, EXIT_MISSING_INPUT, EXIT_OK, main
 from relexpl.optim import Adam, load_checkpoint, restore_params, save_checkpoint
 
 TINY_GEN = {"n_relations": 2, "vocab_size": 30, "n_fget": 2, "n_mention_tokens": 6,
@@ -107,6 +111,30 @@ def _entry(ckpt, name, entry):
     return {**ckpt, "params": {**ckpt["params"], name: entry}}
 
 
+def _write_format_2(path, arrays, extra=None):
+    """A format-2 checkpoint, byte for byte as save_checkpoint wrote it before
+    format 3: one sorted-key JSON file, each tensor's float64 bytes as base64
+    beside their sha256, and no "extra" when it is empty."""
+    entries = {}
+    for name, a in arrays.items():
+        raw = np.asarray(a, dtype="<f8").tobytes(order="C")
+        entries[name] = {"shape": list(np.shape(a)), "sha256": hashlib.sha256(raw).hexdigest(),
+                         "data": base64.b64encode(raw).decode("ascii")}
+    payload = {"format": 2, "params": entries}
+    if extra:
+        payload["extra"] = extra
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True)
+        fh.write("\n")
+
+
+def _copy_checkpoint(header, dest_dir):
+    """Copy a format-3 checkpoint, header and data file, into dest_dir."""
+    for src in (header, header.with_suffix(".bin")):
+        shutil.copy(src, dest_dir / src.name)
+    return dest_dir / header.name
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("ckpt")
@@ -117,6 +145,8 @@ def tiny_run(tmp_path_factory):
     assert main(["train", "--corpus", str(root / "data" / "train.jsonl"),
                  "--out", str(root / "run"), "--epochs", "1", "--seed", "2",
                  *TINY_ENCODER]) == EXIT_OK
+    arrays, extra = load_checkpoint(str(root / "run" / "checkpoint.json"))
+    _write_format_2(root / "run" / "checkpoint_v2.json", arrays, extra)
     return root
 
 
@@ -141,6 +171,94 @@ def _shape_mismatch(text):
     return json.dumps(_entry(ckpt, name, {**entry, "shape": entry["shape"] + [2]}))
 
 
+# Format-3 faults. Each damage maps (header, data bytes) to a damaged pair
+# and targets the first or last tensor in sorted-name order, so it applies
+# to any checkpoint; {first} and {last} in the cause stand for their names.
+
+def _names(h):
+    return sorted(h["params"])
+
+
+def _set(h, which, **fields):
+    """h with fields of one tensor's entry replaced (None drops the field)."""
+    name = _names(h)[which]
+    entry = {k: v for k, v in {**h["params"][name], **fields}.items() if v is not None}
+    return _entry(h, name, entry)
+
+
+def _last(h, key):
+    return h["params"][_names(h)[-1]][key]
+
+
+def _flip_byte(h, data):
+    i = _last(h, "offset") + 3
+    return h, data[:i] + bytes([data[i] ^ 1]) + data[i + 1:]
+
+
+def _nan_with_digest(h, data):
+    start = _last(h, "offset")
+    data = data[:start] + np.array([np.nan], dtype="<f8").tobytes() + data[start + 8:]
+    return _set(h, -1, sha256=hashlib.sha256(data[start:]).hexdigest()), data
+
+
+def _swap_offsets(h, data):
+    first, last = _names(h)[0], _names(h)[-1]
+    swapped = _set(h, 0, offset=h["params"][last]["offset"])
+    return _set(swapped, -1, offset=h["params"][first]["offset"]), data
+
+
+FORMAT_3_FAULTS = {
+    "flipped-byte": (_flip_byte, "{last}: sha256 mismatch"),
+    "truncated-bin": (lambda h, d: (h, d[:-8]), r"{last}: shape \[.*\] needs bytes"),
+    "extended-bin": (lambda h, d: (h, d + bytes(8)), "{last}: the last tensor ends at byte"),
+    "offset-skips": (lambda h, d: (_set(h, -1, offset=_last(h, "offset") + 8), d),
+                     "{last}: offset"),
+    "offset-overlaps": (lambda h, d: (_set(h, -1, offset=_last(h, "offset") - 8), d),
+                        "{last}: offset"),
+    "offsets-out-of-order": (_swap_offsets, "{first}: offset"),
+    "shape-too-large": (lambda h, d: (_set(h, -1, shape=_last(h, "shape") + [2]), d),
+                        r"{last}: shape \[.*, 2\] needs bytes"),
+    "shape-too-small": (lambda h, d: (_set(h, -1, shape=[1]), d),
+                        "{last}: the last tensor ends at byte"),
+    "nan-with-digest": (_nan_with_digest, "{last} holds non-finite values"),
+    "entry-not-object": (lambda h, d: (_entry(h, _names(h)[-1], [0]), d),
+                         "{last} entry must be a JSON object"),
+    "offset-missing": (lambda h, d: (_set(h, -1, offset=None), d),
+                       "{last} entry is missing key 'offset'"),
+    "offset-str": (lambda h, d: (_set(h, -1, offset="0"), d),
+                   "{last} entry key 'offset' must be int"),
+    "offset-bool": (lambda h, d: (_set(h, 0, offset=False), d),
+                    "{first} entry key 'offset' must be int"),
+    "sha256-int": (lambda h, d: (_set(h, -1, sha256=5), d),
+                   "{last} entry key 'sha256' must be str"),
+    "shape-str": (lambda h, d: (_set(h, -1, shape="4"), d),
+                  "{last} entry key 'shape' must be list"),
+    "shape-negative": (lambda h, d: (_set(h, -1, shape=[2, -2]), d),
+                       "{last}: shape .* is not a list of sizes"),
+    "entry-extra-field": (lambda h, d: (_set(h, -1, data="AAAA"), d),
+                          "{last} entry has unknown key 'data'"),
+    "extra-missing": (lambda h, d: ({k: v for k, v in h.items() if k != "extra"}, d),
+                      "checkpoint header is missing key 'extra'"),
+    "extra-list": (lambda h, d: ({**h, "extra": [1]}, d),
+                   "checkpoint header key 'extra' must be dict"),
+    "params-list": (lambda h, d: ({**h, "params": []}, d),
+                    "checkpoint header key 'params' must be dict"),
+    "header-extra-field": (lambda h, d: ({**h, "data": "checkpoint.bin"}, d),
+                           "checkpoint header has unknown key 'data'"),
+}
+
+
+def _damage_checkpoint(header_path, damage):
+    """Apply a FORMAT_3_FAULTS damage in place; return its cause's tensor names."""
+    header = json.loads(header_path.read_text())
+    names = _names(header)
+    bin_path = header_path.with_suffix(".bin")
+    header, data = damage(header, bin_path.read_bytes())
+    header_path.write_text(json.dumps(header, sort_keys=True))
+    bin_path.write_bytes(data)
+    return {"first": re.escape(repr(names[0])), "last": re.escape(repr(names[-1]))}
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -162,6 +280,8 @@ class TestCheckpoint:
         save_checkpoint(p1, params)
         save_checkpoint(p2, dict(reversed(list(params.items()))))
         assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert (tmp_path / "1.bin").read_bytes() == (tmp_path / "2.bin").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["1.bin", "1.json", "2.bin", "2.json"]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_not_saved(self, tmp_path, bad):
@@ -200,6 +320,20 @@ class TestCheckpoint:
             assert arrays[name].dtype == np.float64 and arrays[name].shape == a.shape
             assert arrays[name].tobytes() == a.tobytes()
 
+    def test_reads_format_2_bitwise(self, tmp_path):
+        values = {"edge": np.array([-0.0, 5e-324, 1e308, -1e308, 0.0]), "scalar": np.array(-0.0),
+                  "grid": np.arange(6.0).reshape(2, 3).T}
+        path = tmp_path / "v2.json"
+        _write_format_2(path, values, extra={"seed": 3})
+        # the digest of these bytes as written by the format-2 save_checkpoint
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "3439226672061c227e9ab5d70dc612443dd4d773bb3173221eec2955ca14ccc3")
+        arrays, extra = load_checkpoint(str(path))
+        assert extra == {"seed": 3}
+        for name, a in values.items():
+            assert arrays[name].dtype == np.float64 and arrays[name].shape == a.shape
+            assert arrays[name].tobytes() == np.ascontiguousarray(a).tobytes()
+
     def test_round_trip_bit_exact_edge_values(self, tmp_path):
         params = {
             "edge": Tensor(np.array([-0.0, 5e-324, 1e308, -1e308, 0.0])),
@@ -208,17 +342,20 @@ class TestCheckpoint:
         }
         path = str(tmp_path / "edge.json")
         save_checkpoint(path, params)
-        with open(path) as fh:
-            assert json.load(fh)["format"] == 2
-        arrays, extra = load_checkpoint(path)
-        assert extra == {}
-        for name, p in params.items():
-            assert arrays[name].dtype == np.float64 and arrays[name].shape == p.data.shape
-            assert arrays[name].tobytes() == np.ascontiguousarray(p.data).tobytes()
+        v2 = str(tmp_path / "edge_v2.json")
+        _write_format_2(v2, {name: p.data for name, p in params.items()})
+        for fmt, written in ((3, path), (2, v2)):
+            with open(written) as fh:
+                assert json.load(fh)["format"] == fmt
+            arrays, extra = load_checkpoint(written)
+            assert extra == {}
+            for name, p in params.items():
+                assert arrays[name].dtype == np.float64 and arrays[name].shape == p.data.shape
+                assert arrays[name].tobytes() == np.ascontiguousarray(p.data).tobytes()
 
     def test_flipped_base64_char_names_tensor(self, tmp_path):
         path = tmp_path / "m.json"
-        save_checkpoint(str(path), {"a": Tensor(np.ones(2)), "w": Tensor(np.arange(4.0))})
+        _write_format_2(path, {"a": np.ones(2), "w": np.arange(4.0)})
         payload = json.loads(path.read_text())
         data = payload["params"]["w"]["data"]
         payload["params"]["w"]["data"] = ("B" if data[0] == "A" else "A") + data[1:]
@@ -248,17 +385,20 @@ class TestCheckpoint:
     ])
     def test_structural_faults_name_their_cause(self, tmp_path, damage, cause):
         path = tmp_path / "m.json"
-        save_checkpoint(str(path), {"w": Tensor(np.arange(4.0))}, extra={"seed": 1})
+        _write_format_2(path, {"w": np.arange(4.0)}, extra={"seed": 1})
         path.write_text(json.dumps(damage(json.loads(path.read_text()))))
         with pytest.raises(ValueError, match=cause):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("damage", [_truncated, lambda text: "[]", _nan_format_1,
-                                        _shape_mismatch],
-                             ids=["truncated", "list", "nan", "shape"])
-    def test_eval_exits_3_without_traceback(self, tiny_run, tmp_path, capsys, damage):
-        ckpt = tmp_path / "checkpoint.json"
-        ckpt.write_text(damage((tiny_run / "run" / "checkpoint.json").read_text()))
+    @pytest.mark.parametrize("source, damage", [
+        ("checkpoint.json", _truncated),
+        ("checkpoint.json", lambda text: "[]"),
+        ("checkpoint_v2.json", _nan_format_1),
+        ("checkpoint.json", _shape_mismatch),
+    ], ids=["truncated", "list", "nan", "shape"])
+    def test_eval_exits_3_without_traceback(self, tiny_run, tmp_path, capsys, source, damage):
+        ckpt = _copy_checkpoint(tiny_run / "run" / "checkpoint.json", tmp_path)
+        ckpt.write_text(damage((tiny_run / "run" / source).read_text()))
         capsys.readouterr()
         code = main(["eval", "--checkpoint", str(ckpt),
                      "--corpus", str(tiny_run / "data" / "test.jsonl"),
@@ -287,12 +427,12 @@ class TestCheckpoint:
         (None, "no model 'config'"),
     ])
     def test_eval_config_faults_exit_3(self, tiny_run, tmp_path, capsys, damage, cause):
-        ckpt = json.loads((tiny_run / "run" / "checkpoint.json").read_text())
+        path = _copy_checkpoint(tiny_run / "run" / "checkpoint.json", tmp_path)
+        ckpt = json.loads(path.read_text())
         if damage is None:
             del ckpt["extra"]["config"]
         else:
             ckpt["extra"]["config"] = damage(ckpt["extra"]["config"])
-        path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(ckpt))
         capsys.readouterr()
         code = main(["eval", "--checkpoint", str(path),
@@ -307,3 +447,90 @@ class TestCheckpoint:
         assert main(["eval", "--checkpoint", str(tiny_run / "run" / "checkpoint.json"),
                      "--corpus", str(tiny_run / "data" / "test.jsonl"),
                      "--out", str(tmp_path / "eval")]) == EXIT_OK
+
+
+class TestFormat3:
+    """The header-plus-data layout: what is written, in which order, and
+    the refusal of every damaged pair."""
+
+    PARAMS = {"a": np.ones(2), "w": np.arange(4.0)}
+
+    def _save(self, path, **kw):
+        save_checkpoint(str(path), {n: Tensor(a) for n, a in self.PARAMS.items()}, **kw)
+
+    def test_layout(self, tmp_path):
+        self._save(tmp_path / "m.json", extra={"seed": 1})
+        header = json.loads((tmp_path / "m.json").read_text())
+        data = (tmp_path / "m.bin").read_bytes()
+        assert data == np.ones(2).tobytes() + np.arange(4.0).tobytes()
+        assert header == {"extra": {"seed": 1}, "format": 3, "params": {
+            "a": {"offset": 0, "shape": [2], "sha256": hashlib.sha256(data[:16]).hexdigest()},
+            "w": {"offset": 16, "shape": [4], "sha256": hashlib.sha256(data[16:]).hexdigest()},
+        }}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bin", "m.json"]
+
+    def test_header_is_renamed_into_place_last(self, tmp_path, monkeypatch):
+        replaced = []
+        real = optim.os.replace
+
+        def spy(src, dst):
+            replaced.append(dst)
+            real(src, dst)
+
+        monkeypatch.setattr(optim.os, "replace", spy)
+        self._save(tmp_path / "m.json")
+        assert replaced == [str(tmp_path / "m.bin"), str(tmp_path / "m.json")]
+
+    def test_header_pins_its_data_file(self, tmp_path):
+        # a save cut off between the two renames: new data beside the old header
+        self._save(tmp_path / "m.json")
+        save_checkpoint(str(tmp_path / "new.json"),
+                        {"a": Tensor(np.ones(2)), "w": Tensor(np.arange(4.0) + 1.0)})
+        shutil.copy(tmp_path / "new.bin", tmp_path / "m.bin")
+        with pytest.raises(ValueError, match="'w': sha256 mismatch"):
+            load_checkpoint(str(tmp_path / "m.json"))
+
+    def test_header_cannot_be_its_own_data_file(self, tmp_path):
+        with pytest.raises(ValueError, match="its own data file"):
+            self._save(tmp_path / "m.bin")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_data_file_names_it(self, tmp_path):
+        self._save(tmp_path / "m.json")
+        (tmp_path / "m.bin").unlink()
+        with pytest.raises(FileNotFoundError, match="m.bin"):
+            load_checkpoint(str(tmp_path / "m.json"))
+
+    @pytest.mark.parametrize("damage, cause", FORMAT_3_FAULTS.values(),
+                             ids=FORMAT_3_FAULTS.keys())
+    def test_faults_name_their_cause(self, tmp_path, damage, cause):
+        path = tmp_path / "m.json"
+        self._save(path, extra={"seed": 1})
+        names = _damage_checkpoint(path, damage)
+        with pytest.raises(ValueError, match=cause.format(**names)):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("damage, cause", FORMAT_3_FAULTS.values(),
+                             ids=FORMAT_3_FAULTS.keys())
+    def test_eval_faults_exit_3(self, tiny_run, tmp_path, capsys, damage, cause):
+        ckpt = _copy_checkpoint(tiny_run / "run" / "checkpoint.json", tmp_path)
+        names = _damage_checkpoint(ckpt, damage)
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--corpus", str(tiny_run / "data" / "test.jsonl"),
+                     "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID
+        assert "invalid input" in err and "Traceback" not in err
+        assert re.search(cause.format(**names), err)
+
+    def test_eval_of_missing_data_file_exits_2(self, tiny_run, tmp_path, capsys):
+        ckpt = tmp_path / "checkpoint.json"
+        shutil.copy(tiny_run / "run" / "checkpoint.json", ckpt)
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--corpus", str(tiny_run / "data" / "test.jsonl"),
+                     "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert code == EXIT_MISSING_INPUT
+        assert "missing input" in err and "checkpoint.bin" in err and "Traceback" not in err

@@ -88,7 +88,7 @@ class TestManifests:
         manifest = json.loads((workspace / "run" / "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["seed"] == 1
-        assert manifest["outputs"] == ["checkpoint.json"]
+        assert manifest["outputs"] == ["checkpoint.json", "checkpoint.bin"]
         assert len(manifest["config_hash"]) == 64
         assert manifest["config"]["epochs"] == 2
         assert "version" in manifest

@@ -2,12 +2,14 @@
 losses, fusion, serialization. Hand values first, then numpy oracles over
 the model's own forward pass, then finite differences end to end."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from relexpl import autodiff as ad
+from relexpl import optim
 from relexpl.autodiff import Tensor
 from relexpl.corpus import Bag, ReprMode, Sentence
 from relexpl.encoder import EncoderConfig
@@ -332,6 +334,66 @@ class TestSerialization:
         assert meta["seed"] == 9
         assert loaded.cfg == cfg
         np.testing.assert_array_equal(loaded.forward_bag(bag).logits.data, before)
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        cfg = tiny_model_cfg(kind="cnns-att", fusion=True, n_entities=5)
+        model = build_model(cfg, seed=9)
+        path = str(tmp_path / "m.json")
+        model.save(path)
+
+        class NoDraws(np.random.Generator):
+            def normal(self, *args, **kwargs):
+                raise AssertionError("Generator.normal called")
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: NoDraws(np.random.PCG64(seed)))
+        with pytest.raises(AssertionError, match="normal called"):
+            build_model(cfg, seed=9)  # the patch reaches the model's generator
+        loaded, _ = load_model(path)
+        assert list(loaded.params) == list(model.params)
+        for name, p in model.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
+            assert loaded.params[name].requires_grad == p.requires_grad
+
+    # sha256 over sorted names of "name:shape:requires_grad;" and the bytes,
+    # for build_model(cfg, seed=11): the draw order and every value stay pinned
+    SEEDED_INIT = {
+        ("directsup", False): "49475f849466df73aaa70b39b164862aef5a041256bfcc72ebd1cdb21587be5c",
+        ("directsup", True): "fca40d7323b8ee8270a2325508bcd393a31946b45f0caf00aaedf37864f237e1",
+        ("cnns-att", False): "9af6114ffb9ca054c19134e588240886e53629be549b2e4e78f129845f885f2c",
+        ("cnns-att", True): "c2d6128ef944b54bf9cf58f0436aacd1e6e06d0be0e076a6c400e119277ee1ff",
+    }
+
+    @pytest.mark.parametrize("kind, fusion", SEEDED_INIT)
+    def test_seeded_init_is_pinned(self, kind, fusion):
+        model = build_model(tiny_model_cfg(kind=kind, fusion=fusion,
+                                           n_entities=5 if fusion else 0), seed=11)
+        h = hashlib.sha256()
+        for name in sorted(model.params):
+            p = model.params[name]
+            h.update(f"{name}:{p.data.shape}:{p.requires_grad};".encode())
+            h.update(p.data.tobytes())
+        assert h.hexdigest() == self.SEEDED_INIT[(kind, fusion)]
+
+    @pytest.mark.parametrize("edit, cause", [
+        (lambda p: {**p, "zz": Tensor(np.ones(2))}, r"does not: \['zz'\]"),
+        (lambda p: {k: v for k, v in p.items() if k != "head.bias"},
+         "no parameter 'head.bias'"),
+        (lambda p: {**p, "head.bias": Tensor(np.zeros(4))},
+         r"'head.bias': checkpoint shape \(4,\) != model \(3,\)"),
+    ])
+    def test_load_checks_names_and_shapes(self, tmp_path, edit, cause):
+        model = build_model(tiny_model_cfg(), seed=0)
+        path = str(tmp_path / "m.json")
+        optim.save_checkpoint(path, edit(model.params), extra={"config": model.cfg.to_dict()})
+        with pytest.raises(ValueError, match=cause):
+            load_model(path)
+
+    def test_model_needs_one_source_of_parameters(self):
+        with pytest.raises(ValueError, match="seed or from checkpoint arrays"):
+            DirectSupModel(tiny_model_cfg())
+        with pytest.raises(ValueError, match="seed or from checkpoint arrays"):
+            DirectSupModel(tiny_model_cfg(), seed=0, arrays={})
 
     def test_config_round_trip(self):
         cfg = tiny_model_cfg(kind="cnns-att", fusion=True, n_entities=5)
