@@ -8,16 +8,18 @@ second-order derivatives.
 
 The ops: add, sub, mul; relu, absolute, clamp, sigmoid, log, reciprocal;
 broadcast_to, sum_to, reshape; transpose, matmul; reduce_sum, rows_max,
-softmax; take, put, concat; im2col, col2im, segment_matmul, segment_max,
-conv1d. Gradients are functional: grad(root, wrt) returns d(root)/d(t)
-for each t in wrt and changes no tensor.
+softmax; take, put, concat. first_order makes a node whose VJP is plain
+numpy, for a caller that computes its own forward and backward (the
+sentence encoder). Gradients are functional: grad(root, wrt) returns
+d(root)/d(t) for each t in wrt and changes no tensor.
 
 grad(root, wrt, create_graph=True) returns differentiable gradients.
 With create_graph=False the VJPs run with recording off: every op still
 computes the same numpy result, but its output is a bare tensor with no
 parents and no VJP, so no graph of the backward pass is built or kept.
 backward(root, wrt) is that first-order grad as plain arrays, the form
-an optimizer step reads.
+an optimizer step reads. A first_order node serves only that pass: asked
+to record a graph, its VJP raises GraphError.
 
 Design notes:
   * float64 everywhere; gradient checking demands the precision.
@@ -37,15 +39,9 @@ Design notes:
     writes v into zeros of that shape and sums the rows an int array
     repeats. All indexing in the engine (slices, zero padding, single rows
     and elements, embedding lookups and their scatters) is one of the two.
-  * Max-style ops (rows_max, segment_max) break ties toward the lowest
-    index and treat the winner selection as constant during
-    differentiation; a vector's max is take at its np.argmax.
-  * segment_matmul and segment_max treat a matrix as blocks of consecutive
-    rows, one per sentence of a bag, and im2col takes the windows at given
-    start rows; so the encoder runs a bag as one graph of a fixed size.
-    segment_matmul runs one GEMM per block, which keeps each block's bits
-    independent of the blocks beside it (batch invariance); its VJP is the
-    matmul VJP, whose two GEMMs sum over all blocks at once.
+  * rows_max breaks ties toward the lowest row and treats the winner
+    selection as constant during differentiation; a vector's max is take
+    at its np.argmax.
   * sigmoid, softmax and reciprocal differentiate through their own
     output; their VJPs hold it by weak reference (a VJP only runs while its
     node is alive), so a graph holds no reference cycle and is freed as
@@ -143,6 +139,23 @@ def _node(data, parents, vjp, op: str) -> Tensor:
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def first_order(data, parents, vjp, op: str) -> Tensor:
+    """A node over parents whose VJP is plain numpy, differentiable once.
+
+    vjp maps the output gradient, an array, to one array (or None) per
+    parent. Arrays carry no graph, so a grad(..., create_graph=True) that
+    crosses the node raises GraphError naming op; the first-order grad,
+    create_graph=False, is the only one it serves.
+    """
+    def checked(g):
+        if _recording:
+            raise GraphError(f"{op} is a first-order node: its gradient cannot be "
+                             "differentiated again; take it with create_graph=False")
+        return tuple(None if c is None else Tensor(c) for c in vjp(g.data))
+
+    return _node(data, parents, checked, op)
 
 
 # ---------------------------------------------------------------------------
@@ -397,110 +410,6 @@ def concat(parts, axis: int = 0) -> Tensor:
     bounds = list(itertools.accumulate((p.shape[len(lead)] for p in parts), initial=0))
     index = [lead + (slice(lo, hi),) for lo, hi in zip(bounds, bounds[1:])]
     return _node(out, parts, lambda g: tuple(take(g, i) for i in index), "concat")
-
-
-# ---------------------------------------------------------------------------
-# convolution
-# ---------------------------------------------------------------------------
-
-def _check_starts(op: str, starts, n_windows: int, rows: int, width: int) -> np.ndarray:
-    """starts as int64 once it names n_windows strictly increasing windows inside rows."""
-    starts = np.asarray(starts, dtype=np.int64)
-    if (starts.shape != (n_windows,) or n_windows and (
-            starts[0] < 0 or starts[-1] > rows - width or np.any(starts[1:] <= starts[:-1]))):
-        raise ShapeMismatchError(op, starts.shape, (rows, width))
-    return starts
-
-
-def im2col(m, width: int, starts=None) -> Tensor:
-    """Unfold (Lp, c) into (Lp-width+1, width*c) convolution rows.
-
-    With starts, a strictly increasing int array, only the windows that
-    begin at those rows are taken, one output row each.
-    """
-    m = _as_tensor(m)
-    if m.ndim != 2 or width < 1 or m.shape[0] < width:
-        raise ShapeMismatchError("im2col", m.shape, (width,))
-    rows = m.shape[0]
-    if starts is not None:
-        starts = _check_starts("im2col", starts, len(starts), rows, width)
-    out = kernels.im2col(np.ascontiguousarray(m.data), width, starts)
-    return _node(out, (m,), lambda g: (col2im(g, width, starts, rows),), "im2col")
-
-
-def col2im(m, width: int, starts=None, rows: int | None = None) -> Tensor:
-    """Adjoint of im2col; with starts, rows is the row count of the folded result."""
-    m = _as_tensor(m)
-    if m.ndim != 2 or m.shape[1] % width != 0:
-        raise ShapeMismatchError("col2im", m.shape, (width,))
-    if starts is not None:
-        if rows is None:
-            raise ShapeMismatchError("col2im", m.shape, ("rows",))
-        starts = _check_starts("col2im", starts, m.shape[0], rows, width)
-    out = kernels.col2im(np.ascontiguousarray(m.data), width, starts, rows)
-    return _node(out, (m,), lambda g: (im2col(g, width, starts),), "col2im")
-
-
-def segment_matmul(a, b, sizes) -> Tensor:
-    """matmul(a, b) computed as one GEMM per block of `sizes` consecutive rows of a.
-
-    Each block's rows get the bits of a matmul of that block alone,
-    whatever blocks sit beside it; one GEMM over all rows gives other bits
-    once the row count changes. The VJP needs no such promise: it is the
-    matmul VJP, two GEMMs over all rows.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0] or sum(sizes) != a.shape[0]:
-        raise ShapeMismatchError("segment_matmul", a.shape, b.shape)
-    out = np.empty((a.shape[0], b.shape[1]))
-    lo = 0
-    for n in sizes:
-        np.matmul(a.data[lo:lo + n], b.data, out=out[lo:lo + n])
-        lo += n
-    return _node(out, (a, b), lambda g: (matmul(g, transpose(b)), matmul(transpose(a), g)),
-                 "segment_matmul")
-
-
-def segment_max(m, sizes) -> Tensor:
-    """Columnwise max over each block of `sizes` consecutive rows of (n, d): (len(sizes), d).
-
-    One kernels.rows_max per block, so ties go to the block's lowest row;
-    the winners are constant under differentiation and the adjoint puts g
-    back at them.
-    """
-    m = _as_tensor(m)
-    if m.ndim != 2 or not sizes or min(sizes) < 1 or sum(sizes) != m.shape[0]:
-        raise ShapeMismatchError("segment_max", m.shape, tuple(sizes))
-    data = np.ascontiguousarray(m.data)
-    vals = np.empty((len(sizes), m.shape[1]))
-    rows = np.empty((len(sizes), m.shape[1]), dtype=np.int64)
-    lo = 0
-    for i, n in enumerate(sizes):
-        vals[i], rows[i] = kernels.rows_max(data[lo:lo + n])
-        rows[i] += lo
-        lo += n
-    index = (rows, np.arange(m.shape[1])[None, :])
-    shape = m.shape
-    return _node(vals, (m,), lambda g: (put(g, index, shape),), "segment_max")
-
-
-def conv1d(x, filters, bias=None) -> Tensor:
-    """Same-length 1-d convolution over the token axis.
-
-    x: (L, c_in); filters: (width*c_in, c_out); zero padding keeps the
-    output length at L. Returns (L, c_out).
-    """
-    x, filters = _as_tensor(x), _as_tensor(filters)
-    if x.ndim != 2 or filters.ndim != 2 or filters.shape[0] % x.shape[1] != 0:
-        raise ShapeMismatchError("conv1d", x.shape, filters.shape)
-    length, c_in = x.shape
-    width = filters.shape[0] // c_in
-    before = (width - 1) // 2
-    padded = put(x, slice(before, before + length), (length + width - 1, c_in))
-    out = matmul(im2col(padded, width), filters)
-    if bias is not None:
-        out = add(out, bias)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,16 @@ banks of several widths run over that sequence; each bank max-pools over
 time; the pooled vectors are concatenated and passed through a ReLU, so
 sentence encodings are nonnegative.
 
-The encoder takes the sentences of a bag together and builds one graph
-whose size does not grow with the bag: one gather per table, and per
-width one window gather, one GEMM call per sentence, one bias add and one
-per-sentence max. Each encoding is bit-identical to that of the sentence
-encoded alone.
+The encoder takes the sentences of a bag together and records them as one
+first-order engine node (autodiff.first_order): its forward is plain
+numpy, one gather per table, and per width one window gather, one GEMM
+call per sentence, one bias add and one per-sentence max. Each encoding
+is bit-identical to that of the sentence encoded alone. Its VJP is plain
+numpy too, so the encodings are differentiable once: the training
+backward crosses the encoder, and the one second-order path of the
+system (the distractor loss) starts at the encodings, above it. The VJP
+forms the input gradient only for the columns of tables that require
+grad, so the frozen token table costs no backward work.
 
 The token table is shared between words and FGET types: type t lives at
 row vocab_size + t. Word/type rows stay frozen during training; position
@@ -26,6 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels
 from .autodiff import Tensor
 
 
@@ -192,17 +198,19 @@ class SentenceEncoder:
             table[idx] = vec
 
     def encode(self, items) -> Tensor:
-        """Differentiable (N, out_dim) encodings, all >= 0, of N sentences in one graph.
+        """(N, out_dim) encodings, all >= 0, of N sentences as one first-order node.
 
         items holds one (tokens, mention_i, mention_j) triple per sentence.
         The gathered rows of all sentences sit in one layout with
         max(w // 2) zero rows before, between and after the sentences, so
         that no convolution window spans two sentences. Per width, one
-        im2col takes each sentence's windows, one segment_matmul multiplies
-        them by the filters in one GEMM per sentence, and one segment_max
-        pools each sentence. So every row is bit-identical to the
-        sentence's encoding alone, whichever bag it sits in, while the
-        graph has a fixed number of nodes per bag.
+        im2col takes each sentence's windows, one GEMM per sentence
+        multiplies them by the filters, and one rows_max per sentence pools
+        them. So every row is bit-identical to the sentence's encoding
+        alone, whichever bag it sits in.
+
+        The node's VJP (see `_encode_vjp`) is plain numpy: the encodings
+        can be differentiated once, with grad(..., create_graph=False).
         """
         cfg = self.cfg
         sizes = [len(tokens) for tokens, _, _ in items]
@@ -221,18 +229,81 @@ class SentenceEncoder:
         t = (np.arange(total) - first[sentence])[:, None]  # token index within its sentence
         spans = np.array([(*mi, *mj) for _, mi, mj in items], dtype=np.int64)[sentence]
         pos = _position_rows(t, spans[:, 0::2], spans[:, 1::2], cfg.pos_clip)  # (total, 2)
-        x = ad.concat([
-            ad.take(self.params["embed.tokens"], ids),
-            ad.take(self.params["embed.pos_i"], pos[:, 0]),
-            ad.take(self.params["embed.pos_j"], pos[:, 1]),
-        ], axis=1)
+        table_rows = (ids, pos[:, 0], pos[:, 1])
+        x = np.concatenate([table.data[r] for table, r in zip(self._tables(), table_rows)],
+                           axis=1)
         gap = max(w // 2 for w in cfg.widths)  # the most zero rows a window reaches past
         rows = np.arange(total) + gap * (sentence + 1)
-        layout = ad.put(x, rows, (total + gap * (len(sizes) + 1), x.shape[1]))
-        pooled = []
+        layout = kernels.scatter_add_rows(total + gap * (len(sizes) + 1), rows, x)
+        pooled, convs = [], []
         for w in sorted(cfg.widths):
-            cols = ad.im2col(layout, w, rows - (w - 1) // 2)
-            conv = ad.add(ad.segment_matmul(cols, self.params[f"enc.w{w}.filters"], sizes),
-                          self.params[f"enc.w{w}.bias"])
-            pooled.append(ad.segment_max(conv, sizes))
-        return ad.relu(ad.concat(pooled, axis=1))
+            starts = rows - (w - 1) // 2
+            cols = kernels.im2col(layout, w, starts)
+            filters = self.params[f"enc.w{w}.filters"].data
+            conv = np.empty((total, cfg.channels))
+            lo = 0
+            for n in sizes:
+                np.matmul(cols[lo:lo + n], filters, out=conv[lo:lo + n])
+                lo += n
+            conv = np.add(conv, self.params[f"enc.w{w}.bias"].data)
+            vals = np.empty((len(sizes), cfg.channels))
+            winners = np.empty((len(sizes), cfg.channels), dtype=np.int64)
+            lo = 0
+            for i, n in enumerate(sizes):
+                vals[i], winners[i] = kernels.rows_max(conv[lo:lo + n])
+                winners[i] += lo
+                lo += n
+            pooled.append(vals)
+            convs.append((w, starts, cols, winners))
+        pooled = np.concatenate(pooled, axis=1)
+        mask = (pooled > 0.0).astype(np.float64)
+        layout_rows = layout.shape[0]
+        banks = [self.params[f"enc.w{w}.{part}"]
+                 for w in sorted(cfg.widths) for part in ("filters", "bias")]
+        return ad.first_order(pooled * mask, (*self._tables(), *banks),
+                              lambda g: self._encode_vjp(g * mask, convs, table_rows,
+                                                         layout_rows, rows),
+                              "encode")
+
+    def _tables(self) -> tuple[Tensor, Tensor, Tensor]:
+        """The embedding tables in layout column order: tokens, then both positions."""
+        p = self.params
+        return p["embed.tokens"], p["embed.pos_i"], p["embed.pos_j"]
+
+    def _encode_vjp(self, g: np.ndarray, convs, table_rows, layout_rows: int,
+                    rows: np.ndarray) -> list[np.ndarray | None]:
+        """Gradients of encode's parents, in its parent order, from g, the gradient
+        at the pooled values (the ReLU already applied).
+
+        Per width, g goes back to the winning row of each sentence; the
+        filters get cols^T g and the bias its column sums. The layout gets
+        g F^T folded by col2im, computed only for the columns of the tables
+        that require grad: the frozen token table's d_w columns of each
+        window are never formed. Each table's rows then scatter-add into it.
+        """
+        c = self.cfg.channels
+        tables = self._tables()
+        dims = [t.shape[1] for t in tables]
+        offsets = np.cumsum(dims) - dims
+        live = [i for i, t in enumerate(tables) if t.requires_grad]
+        keep = np.concatenate([np.arange(offsets[i], offsets[i] + dims[i]) for i in live]
+                              ) if live else None  # layout columns that need a gradient
+        banks, g_layout = [], None
+        for j, (w, starts, cols, winners) in enumerate(convs):
+            g_conv = np.zeros((cols.shape[0], c))
+            g_conv[winners, np.arange(c)] += g[:, j * c:(j + 1) * c]
+            banks += [cols.T @ g_conv, g_conv.sum(axis=0)]  # filters, bias
+            if keep is not None:
+                sel = (np.arange(w)[:, None] * sum(dims) + keep).ravel()  # filter rows
+                filters = self.params[f"enc.w{w}.filters"].data
+                folded = kernels.col2im(g_conv @ filters[sel].T, w, starts, layout_rows)
+                g_layout = folded if g_layout is None else g_layout + folded
+        out: list[np.ndarray | None] = [None] * len(tables)
+        if keep is not None:
+            g_x = g_layout[rows]
+            lo = 0
+            for i in live:
+                out[i] = kernels.scatter_add_rows(tables[i].shape[0], table_rows[i],
+                                                  np.ascontiguousarray(g_x[:, lo:lo + dims[i]]))
+                lo += dims[i]
+        return out + banks

@@ -17,12 +17,13 @@ model: gradients are taken functionally.
 
 explain_corpus runs each positive bag forward once and every (relation,
 method) pair reads that forward: attention its weights, saliency and gi
-a first-order gradient taken on its graph without recording a graph of
-its own (create_graph=False), and loo a re-pooling of its cached
-encoding stack without each sentence. Sentence encodings do not interact,
-so the re-pooled logits are exactly those of a fresh forward over the
-remaining sentences, and leave-one-out costs one encoding per sentence
-(linear in bag size) rather than a re-encoding of the bag per sentence.
+one first-order gradient per relation, taken on its graph without
+recording a graph of its own (create_graph=False), and loo one re-pooling
+of its cached encoding stack per dropped sentence, whose K logits serve
+every relation. The forward memoizes both (BagForward.memo). Sentence
+encodings do not interact, so the re-pooled logits are exactly those of a
+fresh forward over the remaining sentences, and leave-one-out costs one
+pooling per sentence rather than a re-encoding of the bag per sentence.
 """
 
 from __future__ import annotations
@@ -76,41 +77,57 @@ def _shared_forward(model: RelationModel, bag: Bag, k: int,
     return model.forward_bag(bag) if fwd is None else fwd
 
 
+def _gradient_once(fwd: BagForward, k: int) -> np.ndarray:
+    """encoding_gradient(fwd, k, create_graph=False) as an array, taken once per
+    forward and relation: saliency and gi both read it."""
+    key = ("encoding_gradient", k)
+    if key not in fwd.memo:
+        fwd.memo[key] = encoding_gradient(fwd, k, create_graph=False).data
+    return fwd.memo[key]
+
+
 def saliency(model: RelationModel, bag: Bag, k: int,
              fwd: BagForward | None = None) -> np.ndarray:
-    gX = encoding_gradient(_shared_forward(model, bag, k, fwd), k, create_graph=False)
-    return np.sum(np.abs(gX.data), axis=1)
+    gX = _gradient_once(_shared_forward(model, bag, k, fwd), k)
+    return np.sum(np.abs(gX), axis=1)
 
 
 def grad_input(model: RelationModel, bag: Bag, k: int,
                fwd: BagForward | None = None) -> np.ndarray:
     fwd = _shared_forward(model, bag, k, fwd)
-    gX = encoding_gradient(fwd, k, create_graph=False)
-    return (gX.data * fwd.X.data).sum(axis=1)  # gi_vector's numpy ops, unrecorded
+    return (_gradient_once(fwd, k) * fwd.X.data).sum(axis=1)  # gi_vector's numpy ops
+
+
+def _dropped_logits(model: RelationModel, bag: Bag, fwd: BagForward) -> np.ndarray:
+    """(N, K): row n holds every logit of the bag re-pooled without sentence n.
+
+    The cached encoding stack is re-pooled without row n; a singleton bag
+    falls back to the empty selection. Each re-pool yields all K logits,
+    so it runs once per sentence and forward, whichever relations are read.
+    """
+    if "leave_one_out" not in fwd.memo:
+        n = len(bag.sentences)
+        if n == 1:
+            rows = [model._empty_logits(bag.entity_i, bag.entity_j).data]
+        else:
+            rows = [model._bag_logits(ad.take(fwd.X, np.delete(np.arange(n), drop)),
+                                      bag.entity_i, bag.entity_j)[2].data
+                    for drop in range(n)]
+        fwd.memo["leave_one_out"] = np.stack(rows)
+    return fwd.memo["leave_one_out"]
 
 
 def leave_one_out(model: RelationModel, bag: Bag, k: int,
                   fwd: BagForward | None = None) -> np.ndarray:
     """o_k minus the logit of the bag re-pooled without each sentence.
 
-    The cached encoding stack is re-pooled without row n; a singleton bag
-    falls back to the empty selection. Sentence encodings do not depend on
-    each other, so this equals a fresh forward pass over the other
+    Sentence encodings do not depend on each other, so each re-pool
+    (`_dropped_logits`) equals a fresh forward pass over the other
     sentences bit for bit, at one pooling per sentence instead of one
     re-encoding of the bag.
     """
     fwd = _shared_forward(model, bag, k, fwd)
-    n = len(bag.sentences)
-    o_full = float(fwd.logits.data[k])
-    scores = np.zeros(n)
-    for drop in range(n):
-        if n == 1:
-            logits = model._empty_logits(bag.entity_i, bag.entity_j)
-        else:
-            keep = np.delete(np.arange(n), drop)
-            _, _, logits = model._bag_logits(ad.take(fwd.X, keep), bag.entity_i, bag.entity_j)
-        scores[drop] = o_full - float(logits.data[k])
-    return scores
+    return float(fwd.logits.data[k]) - _dropped_logits(model, bag, fwd)[:, k]
 
 
 def attention_explanation(model: RelationModel, bag: Bag, k: int,

@@ -17,7 +17,7 @@ projects back to R^d with a ReLU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -88,7 +88,8 @@ class BagForward:
     selection); alphas holds the sentence weights ((N,) for the relevance
     classifier, (N, K) attention columns otherwise); reps the pre-fusion
     bag representation ((d,) or (K, d)); logits the (K,) tensor of o_k;
-    probs its sigmoid as a plain array.
+    probs its sigmoid as a plain array. memo holds what explanations derive
+    from this forward, so that each is computed once per bag (see explain).
     """
 
     X: Tensor | None
@@ -96,6 +97,7 @@ class BagForward:
     reps: Tensor | None
     logits: Tensor
     probs: np.ndarray
+    memo: dict = field(default_factory=dict, repr=False)
 
 
 class RelationModel:

@@ -15,16 +15,10 @@ sorted-name order. The header is one sorted-key JSON object::
 damaged or mismatched data file is caught. The header does not name the
 data file, so equal tensors give equal header bytes wherever they are
 saved. Copy or move a checkpoint as both files.
-
-Formats 1 and 2 are single JSON files whose ``params`` entries carry the
-values inline: format 1 as a flat list of floats in ``data``, format 2 as
-base64 of the float64 bytes in ``data`` beside ``sha256``. Both are still
-read, never written.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import math
@@ -153,52 +147,6 @@ def save_checkpoint(path: str, params: dict[str, Tensor], extra: dict | None = N
     _replace(path, [header.encode("ascii"), b"\n"])
 
 
-def _field(entry: dict, key: str, kind: type, name: str):
-    value = entry.get(key)
-    if not isinstance(value, kind):
-        raise ValueError(f"parameter {name!r}: {key!r} must be a {kind.__name__}, "
-                         f"got {type(value).__name__}")
-    return value
-
-
-def _shape(entry: dict, name: str) -> tuple[int, ...]:
-    shape = _field(entry, "shape", list, name)
-    if not all(type(n) is int and n >= 0 for n in shape):
-        raise ValueError(f"parameter {name!r}: shape {shape} is not a list of sizes")
-    return tuple(shape)
-
-
-def _decode_v1(entry: dict, name: str) -> np.ndarray:
-    shape = _shape(entry, name)
-    data = _field(entry, "data", list, name)
-    try:
-        flat = np.array(data, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"parameter {name!r}: data is not a list of numbers") from exc
-    if flat.ndim != 1 or flat.size != math.prod(shape):
-        raise ValueError(f"parameter {name!r}: data of shape {list(flat.shape)} does not fit "
-                         f"shape {list(shape)}")
-    return flat.reshape(shape)
-
-
-def _decode_v2(entry: dict, name: str) -> np.ndarray:
-    shape = _shape(entry, name)
-    digest = _field(entry, "sha256", str, name)
-    try:
-        raw = base64.b64decode(_field(entry, "data", str, name), validate=True)
-    except ValueError as exc:
-        raise ValueError(f"parameter {name!r}: data is not valid base64 ({exc})") from exc
-    if len(raw) != 8 * math.prod(shape):
-        raise ValueError(f"parameter {name!r}: {len(raw)} bytes do not fit shape "
-                         f"{list(shape)} of float64")
-    if hashlib.sha256(raw).hexdigest() != digest:
-        raise ValueError(f"parameter {name!r}: sha256 mismatch, checkpoint data is corrupt")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-
-
-_DECODERS = {1: _decode_v1, 2: _decode_v2}
-
-
 def _read_v3(path: str, params: dict) -> dict[str, np.ndarray]:
     """The tensors a format-3 header lists, read from its data file in one read().
 
@@ -209,7 +157,9 @@ def _read_v3(path: str, params: dict) -> dict[str, np.ndarray]:
     for name in sorted(params):
         entry = checked_fields(params[name], f"parameter {name!r} entry",
                                {"offset": int, "sha256": str, "shape": list})
-        shape = _shape(entry, name)
+        shape = tuple(entry["shape"])
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError(f"parameter {name!r}: shape {entry['shape']} is not a list of sizes")
         if entry["offset"] != end:
             raise ValueError(f"parameter {name!r}: offset {entry['offset']}, expected {end}: "
                              "tensors lie back to back in sorted-name order from byte 0")
@@ -243,36 +193,22 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     A format-3 header (see `save_checkpoint`) must hold exactly the fields
     written: its offsets must be the running sum, in sorted-name order, of
     the tensor sizes, and the data file, read in one read(), exactly as
-    long as that sum; each tensor's bytes must match their sha256. Formats
-    1 and 2 carry their values in the one JSON file. In every format a
-    structural fault, a digest mismatch or a non-finite value raises
-    ValueError naming the cause and the parameter; a missing data file
-    raises FileNotFoundError naming the file.
+    long as that sum; each tensor's bytes must match their sha256. Any
+    other format, 1 and 2 included, raises "unsupported checkpoint
+    format". A structural fault, a digest mismatch or a non-finite value
+    raises ValueError naming the cause and the parameter; a missing data
+    file raises FileNotFoundError naming the file.
     """
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint must be a JSON object, got {type(payload).__name__}")
     fmt = payload.get("format")
-    if type(fmt) is int and fmt == CHECKPOINT_FORMAT:
-        header = checked_fields(payload, "checkpoint header",
-                                {"extra": dict, "format": int, "params": dict})
-        return _read_v3(path, header["params"]), header["extra"]
-    decode = _DECODERS.get(fmt) if type(fmt) is int else None
-    if decode is None:
-        raise ValueError(f"unsupported checkpoint format {fmt!r}, expected 1, 2 or 3")
-    params = payload.get("params")
-    if not isinstance(params, dict):
-        raise ValueError("checkpoint 'params' must be a JSON object")
-    extra = payload.get("extra", {})
-    if not isinstance(extra, dict):
-        raise ValueError("checkpoint 'extra' must be a JSON object")
-    arrays = {}
-    for name, entry in params.items():
-        if not isinstance(entry, dict):
-            raise ValueError(f"parameter {name!r}: entry must be a JSON object")
-        arrays[name] = _finite(decode(entry, name), name)
-    return arrays, extra
+    if not (type(fmt) is int and fmt == CHECKPOINT_FORMAT):
+        raise ValueError(f"unsupported checkpoint format {fmt!r}, expected {CHECKPOINT_FORMAT}")
+    header = checked_fields(payload, "checkpoint header",
+                            {"extra": dict, "format": int, "params": dict})
+    return _read_v3(path, header["params"]), header["extra"]
 
 
 def restore_params(params: dict[str, Tensor], arrays: dict[str, np.ndarray]):

@@ -1,7 +1,9 @@
-"""Shared test helpers: finite-difference oracles against the tensor engine."""
+"""Shared test helpers: finite-difference oracles against the tensor engine,
+and conv1d, the per-sentence convolution the encoder is checked against."""
 
 import numpy as np
 
+from relexpl import autodiff as ad
 from relexpl.autodiff import Tensor, grad
 
 
@@ -41,10 +43,12 @@ def check_param_grads(forward, params, h=1e-5, tol=1e-4):
     """FD-check gradients of a scalar forward() w.r.t. live parameter tensors.
 
     forward rebuilds the graph on each call and reads the params' current
-    .data, so central differences can perturb them in place.
+    .data, so central differences can perturb them in place. The engine
+    side is the first-order grad (create_graph=False), the one the
+    encoder's node serves.
     """
     targets = list(params.values())
-    engine = [g.data.copy() for g in grad(forward(), targets)]
+    engine = [g.data.copy() for g in grad(forward(), targets, create_graph=False)]
     for p, eng in zip(targets, engine):
         num = np.zeros_like(p.data)
         it = np.nditer(p.data, flags=["multi_index"])
@@ -79,3 +83,21 @@ def check_grads(build, arrays, h=1e-5, tol=1e-4):
     numeric = numeric_grad(f, arrays, h=h)
     for e, n in zip(engine, numeric):
         assert rel_err(e, n) < tol, f"gradient mismatch: rel err {rel_err(e, n):.3e}"
+
+
+def conv1d(x, filters, bias=None):
+    """Same-length 1-d convolution over the token axis, built from engine ops.
+
+    x: (L, c_in); filters: (width*c_in, c_out); (width - 1) // 2 zero rows
+    before x and the rest after keep the output length at L. Window t is
+    the padded rows t .. t+width-1, flattened time-major, as one row of
+    the GEMM. Returns (L, c_out). The encoder must equal it bit for bit on
+    each sentence, and its gradients are checked like any engine graph.
+    """
+    length, c_in = x.shape
+    width = filters.shape[0] // c_in
+    before = (width - 1) // 2
+    padded = ad.put(x, slice(before, before + length), (length + width - 1, c_in))
+    windows = np.arange(length)[:, None] + np.arange(width)  # (L, width) padded rows
+    out = ad.matmul(ad.reshape(ad.take(padded, windows), (length, width * c_in)), filters)
+    return out if bias is None else ad.add(out, bias)

@@ -124,13 +124,6 @@ def _op_cases(rng):
     rmax[np.arange(n), rng.integers(0, m, n)] += 1.0
     col_idx = rng.integers(0, n, size=m)
     row_ids = rng.integers(0, 5, size=n)          # repeats allowed: put adds
-    L, cin, width, cout = 5, 2, 3, 2
-    X = rng.standard_normal((L, cin))
-    F = rng.standard_normal((width * cin, cout))
-    fb = rng.standard_normal(cout)
-    cols = rng.standard_normal((L - width + 1, width * cin))
-    sizes = (3, 1, 2)                # segment blocks: rows per block
-    starts = np.array([0, 2, 3, 5])  # windows of width 3 in L + 3 rows, a gap at 1
 
     def wsum(shape):
         # drawn once per case, then bound as a lambda default: the builder
@@ -204,38 +197,12 @@ def _op_cases(rng):
         ("put_rows",
          lambda a, _w=wsum((n + 3, m)): _w(ad.put(a, slice(1, 1 + n), (n + 3, m))), [A]),
         ("take_rows", lambda a, _w=wsum((2, m)): _w(ad.take(a, slice(1, 3))), [A]),
-        ("im2col",
-         lambda x, _w=wsum((L - width + 1, width * cin)): _w(ad.im2col(x, width)),
-         [X]),
-        ("col2im", lambda a, _w=wsum((L, cin)): _w(ad.col2im(a, width)), [cols]),
-        ("conv1d",
-         lambda x, f, b, _w=wsum((L, cout)): _w(ad.conv1d(x, f, b)), [X, F, fb]),
         # kept last: a new wsum draw would shift the weights of every later case
         ("sum_to_row", lambda a, _w=wsum((m,)): _w(ad.sum_to(a, (m,))), [A]),
         ("sum_to_col", lambda a, _w=wsum((n, 1)): _w(ad.sum_to(a, (n, 1))), [A]),
         ("sum_to_scalar", lambda a: ad.sum_to(a, ()), [A]),
         ("reshape", lambda a, _w=wsum((m, n)): _w(ad.reshape(a, (m, n))), [A]),
-        # the bag encoder's ops: blocks of `sizes` rows, windows at `starts`
-        ("segment_max",
-         lambda a, _w=wsum((len(sizes), c)): _w(ad.segment_max(a, sizes)),
-         [_blockwise_distinct(rng, sizes, c)]),
-        ("segment_matmul",
-         lambda a, b, _w=wsum((sum(sizes), c)): _w(ad.segment_matmul(a, b, sizes)),
-         [rng.standard_normal((sum(sizes), m)), Mm]),
-        ("im2col_starts",
-         lambda x, _w=wsum((len(starts), width * cin)): _w(ad.im2col(x, width, starts)),
-         [rng.standard_normal((L + 3, cin))]),
-        ("col2im_starts",
-         lambda a, _w=wsum((L + 3, cin)): _w(ad.col2im(a, width, starts, L + 3)),
-         [rng.standard_normal((len(starts), width * cin))]),
     ]
-
-
-def _blockwise_distinct(rng, sizes, d):
-    """Rows in blocks of `sizes`; within a block, the entries of a column are
-    at least 0.3 apart, so no finite-difference step changes a block's max."""
-    blocks = [rng.permutation(n * d).reshape(n, d) * 0.5 for n in sizes]
-    return np.concatenate(blocks) + rng.uniform(-0.1, 0.1, (sum(sizes), d))
 
 
 def _end_to_end_grad_check(seed):

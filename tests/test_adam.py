@@ -1,7 +1,6 @@
 """Optimizer checks: the update rule against a hand-rolled reference, plus
 checkpoint round trips and the loader's refusal of damaged files."""
 
-import base64
 import hashlib
 import json
 import re
@@ -111,23 +110,6 @@ def _entry(ckpt, name, entry):
     return {**ckpt, "params": {**ckpt["params"], name: entry}}
 
 
-def _write_format_2(path, arrays, extra=None):
-    """A format-2 checkpoint, byte for byte as save_checkpoint wrote it before
-    format 3: one sorted-key JSON file, each tensor's float64 bytes as base64
-    beside their sha256, and no "extra" when it is empty."""
-    entries = {}
-    for name, a in arrays.items():
-        raw = np.asarray(a, dtype="<f8").tobytes(order="C")
-        entries[name] = {"shape": list(np.shape(a)), "sha256": hashlib.sha256(raw).hexdigest(),
-                         "data": base64.b64encode(raw).decode("ascii")}
-    payload = {"format": 2, "params": entries}
-    if extra:
-        payload["extra"] = extra
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
-
-
 def _copy_checkpoint(header, dest_dir):
     """Copy a format-3 checkpoint, header and data file, into dest_dir."""
     for src in (header, header.with_suffix(".bin")):
@@ -145,23 +127,11 @@ def tiny_run(tmp_path_factory):
     assert main(["train", "--corpus", str(root / "data" / "train.jsonl"),
                  "--out", str(root / "run"), "--epochs", "1", "--seed", "2",
                  *TINY_ENCODER]) == EXIT_OK
-    arrays, extra = load_checkpoint(str(root / "run" / "checkpoint.json"))
-    _write_format_2(root / "run" / "checkpoint_v2.json", arrays, extra)
     return root
 
 
 def _truncated(text):
     return text[: len(text) // 2]
-
-
-def _nan_format_1(text):
-    ckpt = json.loads(text)
-    params = {}
-    for name, entry in ckpt["params"].items():
-        values = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").tolist()
-        params[name] = {"shape": entry["shape"], "data": values}
-    params[name]["data"][0] = float("nan")
-    return json.dumps({**ckpt, "format": 1, "params": params})
 
 
 def _shape_mismatch(text):
@@ -205,6 +175,10 @@ def _swap_offsets(h, data):
     first, last = _names(h)[0], _names(h)[-1]
     swapped = _set(h, 0, offset=h["params"][last]["offset"])
     return _set(swapped, -1, offset=h["params"][first]["offset"]), data
+
+
+def _as_text(h, data):
+    return json.dumps(h, sort_keys=True), data
 
 
 FORMAT_3_FAULTS = {
@@ -307,32 +281,26 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="format"):
             load_checkpoint(str(path))
 
-    def test_reads_format_1_bitwise(self, tmp_path):
-        values = {"w": np.array([[0.1, -0.0], [1e-310, -2.5e300]]), "s": np.array(3.0)}
-        payload = {"format": 1, "extra": {"seed": 3}, "params": {
-            name: {"shape": list(a.shape), "data": a.ravel().tolist()}
-            for name, a in values.items()}}
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(payload))
-        arrays, extra = load_checkpoint(str(path))
-        assert extra == {"seed": 3}
-        for name, a in values.items():
-            assert arrays[name].dtype == np.float64 and arrays[name].shape == a.shape
-            assert arrays[name].tobytes() == a.tobytes()
-
-    def test_reads_format_2_bitwise(self, tmp_path):
-        values = {"edge": np.array([-0.0, 5e-324, 1e308, -1e308, 0.0]), "scalar": np.array(-0.0),
-                  "grid": np.arange(6.0).reshape(2, 3).T}
-        path = tmp_path / "v2.json"
-        _write_format_2(path, values, extra={"seed": 3})
-        # the digest of these bytes as written by the format-2 save_checkpoint
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "3439226672061c227e9ab5d70dc612443dd4d773bb3173221eec2955ca14ccc3")
-        arrays, extra = load_checkpoint(str(path))
-        assert extra == {"seed": 3}
-        for name, a in values.items():
-            assert arrays[name].dtype == np.float64 and arrays[name].shape == a.shape
-            assert arrays[name].tobytes() == np.ascontiguousarray(a).tobytes()
+    @pytest.mark.parametrize("payload", [
+        {"format": 1, "params": {"w": {"shape": [2], "data": [1.0, 2.0]}}},
+        {"format": 2, "params": {"w": {"shape": [1], "sha256": hashlib.sha256(
+            np.zeros(1).tobytes()).hexdigest(), "data": "AAAAAAAAAAA="}}},
+    ], ids=["format-1", "format-2"])
+    def test_formats_1_and_2_are_unsupported(self, tiny_run, tmp_path, capsys, payload):
+        """Nothing writes the inline-JSON formats 1 and 2 any more, and nothing reads them."""
+        ckpt = json.loads((tiny_run / "run" / "checkpoint.json").read_text())
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**payload, "extra": ckpt["extra"]}))
+        fmt = payload["format"]
+        with pytest.raises(ValueError, match=f"unsupported checkpoint format {fmt}, expected 3"):
+            load_checkpoint(str(path))
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(path),
+                     "--corpus", str(tiny_run / "data" / "test.jsonl"),
+                     "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID
+        assert "unsupported checkpoint format" in err and "Traceback" not in err
 
     def test_round_trip_bit_exact_edge_values(self, tmp_path):
         params = {
@@ -342,26 +310,11 @@ class TestCheckpoint:
         }
         path = str(tmp_path / "edge.json")
         save_checkpoint(path, params)
-        v2 = str(tmp_path / "edge_v2.json")
-        _write_format_2(v2, {name: p.data for name, p in params.items()})
-        for fmt, written in ((3, path), (2, v2)):
-            with open(written) as fh:
-                assert json.load(fh)["format"] == fmt
-            arrays, extra = load_checkpoint(written)
-            assert extra == {}
-            for name, p in params.items():
-                assert arrays[name].dtype == np.float64 and arrays[name].shape == p.data.shape
-                assert arrays[name].tobytes() == np.ascontiguousarray(p.data).tobytes()
-
-    def test_flipped_base64_char_names_tensor(self, tmp_path):
-        path = tmp_path / "m.json"
-        _write_format_2(path, {"a": np.ones(2), "w": np.arange(4.0)})
-        payload = json.loads(path.read_text())
-        data = payload["params"]["w"]["data"]
-        payload["params"]["w"]["data"] = ("B" if data[0] == "A" else "A") + data[1:]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="'w'.*sha256"):
-            load_checkpoint(str(path))
+        arrays, extra = load_checkpoint(path)
+        assert extra == {}
+        for name, p in params.items():
+            assert arrays[name].dtype == np.float64 and arrays[name].shape == p.data.shape
+            assert arrays[name].tobytes() == np.ascontiguousarray(p.data).tobytes()
 
     @pytest.mark.parametrize("damage, cause", [
         (lambda c: [], "JSON object"),
@@ -372,33 +325,28 @@ class TestCheckpoint:
         (lambda c: _entry(c, "w", {**c["params"]["w"], "shape": [2, -2]}), "'w'.*shape"),
         (lambda c: _entry(c, "w", {**c["params"]["w"], "shape": [2, 3]}), "'w'.*bytes"),
         (lambda c: _entry(c, "w", {**c["params"]["w"], "data": [0.0] * 4}), "'w'.*'data'"),
-        (lambda c: _entry(c, "w", {**c["params"]["w"], "data": "@@@@"}), "'w'.*base64"),
         (lambda c: _entry(c, "w", {k: v for k, v in c["params"]["w"].items()
                                    if k != "sha256"}), "'w'.*'sha256'"),
-        (lambda c: {**c, "format": 1, "params": {"w": {"shape": [3], "data": [1.0, 2.0]}}},
-         "'w'.*fit"),
-        (lambda c: {**c, "format": 1, "params": {"w": {"shape": [2], "data": [1.0, "x"]}}},
-         "'w'.*numbers"),
-        (lambda c: {**c, "format": 1, "params": {"w": {"shape": [2], "data": [1.0, float("nan")]}}},
-         "'w'.*non-finite"),
         (lambda c: {**c, "format": True}, "format"),
     ])
     def test_structural_faults_name_their_cause(self, tmp_path, damage, cause):
         path = tmp_path / "m.json"
-        _write_format_2(path, {"w": np.arange(4.0)}, extra={"seed": 1})
+        save_checkpoint(str(path), {"w": Tensor(np.arange(4.0))}, extra={"seed": 1})
         path.write_text(json.dumps(damage(json.loads(path.read_text()))))
         with pytest.raises(ValueError, match=cause):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("source, damage", [
-        ("checkpoint.json", _truncated),
-        ("checkpoint.json", lambda text: "[]"),
-        ("checkpoint_v2.json", _nan_format_1),
-        ("checkpoint.json", _shape_mismatch),
+    @pytest.mark.parametrize("damage", [
+        lambda text, data: (_truncated(text), data),
+        lambda text, data: ("[]", data),
+        lambda text, data: _as_text(*_nan_with_digest(json.loads(text), data)),
+        lambda text, data: (_shape_mismatch(text), data),
     ], ids=["truncated", "list", "nan", "shape"])
-    def test_eval_exits_3_without_traceback(self, tiny_run, tmp_path, capsys, source, damage):
+    def test_eval_exits_3_without_traceback(self, tiny_run, tmp_path, capsys, damage):
         ckpt = _copy_checkpoint(tiny_run / "run" / "checkpoint.json", tmp_path)
-        ckpt.write_text(damage((tiny_run / "run" / source).read_text()))
+        text, data = damage(ckpt.read_text(), ckpt.with_suffix(".bin").read_bytes())
+        ckpt.write_text(text)
+        ckpt.with_suffix(".bin").write_bytes(data)
         capsys.readouterr()
         code = main(["eval", "--checkpoint", str(ckpt),
                      "--corpus", str(tiny_run / "data" / "test.jsonl"),

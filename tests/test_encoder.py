@@ -11,7 +11,7 @@ from relexpl import autodiff as ad
 from relexpl.encoder import (EncoderConfig, SentenceEncoder, _position_rows, position_ids,
                              relative_position)
 
-from conftest import check_param_grads
+from conftest import check_param_grads, conv1d
 
 
 def tiny_cfg(**kw):
@@ -73,7 +73,7 @@ def reference_encoding(enc, tokens, mention_i, mention_j):
         ad.take(p["embed.pos_j"], position_ids(n, mention_j, cfg.pos_clip)),
     ], axis=1)
     return ad.relu(ad.concat([
-        ad.rows_max(ad.conv1d(x, p[f"enc.w{w}.filters"], p[f"enc.w{w}.bias"]))
+        ad.rows_max(conv1d(x, p[f"enc.w{w}.filters"], p[f"enc.w{w}.bias"]))
         for w in sorted(cfg.widths)]))
 
 
@@ -203,6 +203,89 @@ class TestEncoderGradients:
         g_pos, g_filters = ad.backward(root, [enc.params["embed.pos_i"],
                                               enc.params["enc.w2.filters"]])
         assert np.any(g_pos != 0.0) and np.any(g_filters != 0.0)
+
+
+def _bag(rng, n_sentences, max_len):
+    """Sentences of 1 to max_len tokens with mentions anywhere, as encode takes them."""
+    items = []
+    for _ in range(n_sentences):
+        n = int(rng.integers(1, max_len + 1))
+        start = int(rng.integers(0, n))
+        items.append((rng.integers(0, 404, n).tolist(), (start, n), (0, start + 1)))
+    return items
+
+
+class TestEncoderNode:
+    """encode is one first-order engine node: its VJP is plain numpy."""
+
+    def test_one_recorded_node_per_call(self, monkeypatch):
+        made = []
+        node = ad._node
+        monkeypatch.setattr(ad, "_node", lambda *args: made.append(args[3]) or node(*args))
+        for name in ("desk", "paper"):
+            ENCODERS[name].encode(_bag(np.random.default_rng(1), 4, 9))
+        assert made == ["encode", "encode"]
+
+    @pytest.mark.parametrize("name", ["desk", "paper"])
+    def test_every_trainable_parameter_along_a_random_direction(self, name):
+        """Per parameter, <grad, v> equals the central difference of the loss along a
+        random direction v; a per-coordinate check at paper size would take 278k."""
+        cfg = EncoderConfig(**{"desk": DESK, "paper": PAPER}[name])
+        enc = SentenceEncoder(cfg, np.random.default_rng(7))
+        rng = np.random.default_rng(8)
+        items = _bag(rng, 6, 30)
+        weights = ad.Tensor(rng.normal(size=(len(items), enc.out_dim)))
+
+        def loss():
+            return ad.reduce_sum(ad.mul(enc.encode(items), weights))
+
+        trainable = {n: p for n, p in enc.params.items() if p.requires_grad}
+        assert sorted(trainable) == sorted(n for n in enc.params if n != "embed.tokens")
+        grads = ad.backward(loss(), trainable.values())
+        h = 1e-7  # the loss is piecewise bilinear; a small step seldom crosses a max or ReLU kink
+        for (n, p), g in zip(trainable.items(), grads):
+            v = rng.normal(size=p.shape)
+            orig = p.data.copy()
+            p.data[...] = orig + h * v
+            up = float(loss().data)
+            p.data[...] = orig - h * v
+            down = float(loss().data)
+            p.data[...] = orig
+            numeric = (up - down) / (2 * h)
+            assert abs(np.sum(g * v) - numeric) <= 1e-6 * max(1.0, abs(numeric)), n
+
+    def test_recorded_grad_through_the_encoder_raises(self):
+        enc = make_encoder(seed=1)
+        root = ad.reduce_sum(enc.encode([([3, 9, 1], (0, 1), (2, 3))]))
+        with pytest.raises(ad.GraphError, match="encode is a first-order node"):
+            ad.grad(root, [enc.params["embed.pos_i"]], create_graph=True)
+        assert ad._recording is True
+        x = ad.Tensor(np.ones(2), requires_grad=True)
+        assert ad.mul(x, x)._parents == (x, x)
+
+    def test_trainable_token_table_matches_finite_differences(self):
+        """With the token table trainable its d_w columns join the input gradient."""
+        enc = make_encoder(seed=2)
+        enc.params["embed.tokens"].requires_grad = True
+        items = [([3, 9, 1, 12, 5], (0, 1), (4, 5)), ([31], (0, 1), (0, 1)),
+                 ([2, 4, 2], (1, 3), (0, 1))]
+        weights = np.random.default_rng(3).normal(size=(3, enc.out_dim))
+        check_param_grads(lambda: ad.reduce_sum(ad.mul(enc.encode(items), ad.Tensor(weights))),
+                          enc.params)
+
+    def test_max_pool_tie_goes_to_the_lowest_row_of_each_sentence(self):
+        enc = make_encoder(seed=3, widths=(1,), channels=2)
+        p = enc.params
+        p["enc.w1.filters"].data[...] = 0.0  # every row of a sentence ties at the bias
+        p["enc.w1.bias"].data[...] = [1.0, 2.0]
+        items = [([4, 5, 6], (1, 2), (2, 3)), ([7, 8], (0, 1), (1, 2))]
+        root = ad.reduce_sum(enc.encode(items))
+        (g,) = ad.backward(root, [p["enc.w1.filters"]])
+        first = [np.concatenate([p["embed.tokens"].data[tokens[0]],
+                                 p["embed.pos_i"].data[position_ids(1, mi, 4)[0]],
+                                 p["embed.pos_j"].data[position_ids(1, mj, 4)[0]]])
+                 for tokens, mi, mj in items]
+        np.testing.assert_array_equal(g, np.outer(first[0] + first[1], [1.0, 1.0]))
 
 
 class TestEmbeddingFile:

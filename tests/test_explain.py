@@ -428,6 +428,29 @@ class TestSharedForward:
     @pytest.mark.parametrize("cls,kind", [
         (DirectSupModel, "directsup"), (CnnsAttModel, "cnns-att"),
     ])
+    def test_one_gradient_per_relation_and_one_repool_per_sentence(self, monkeypatch,
+                                                                   cls, kind):
+        # all four methods on a bag of N = 5 sentences labeled with R = 2
+        # relations: saliency and gi share each relation's gradient, and both
+        # relations read their loo logits from the same N re-pools
+        calls = {"grad": 0, "pool": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ad, "grad", counted("grad", ad.grad))
+        monkeypatch.setattr(cls, "_bag_logits", counted("pool", cls._bag_logits))
+        model = cls(model_cfg(kind=kind, K=3), seed=0)
+        rows = explain_corpus(model, [make_bag(n_sent=5, relations=frozenset({0, 2}))])
+        assert len(rows) == 2 * len(METHODS)
+        assert calls == {"grad": 2, "pool": 1 + 5}  # the bag's forward, then the N re-pools
+
+    @pytest.mark.parametrize("cls,kind", [
+        (DirectSupModel, "directsup"), (CnnsAttModel, "cnns-att"),
+    ])
     def test_explain_pass_leaves_no_reference_cycles(self, cls, kind):
         # graphs are freed by reference counting alone
         model = cls(model_cfg(kind=kind, fusion=True, n_entities=4), seed=9)

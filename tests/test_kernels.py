@@ -52,3 +52,18 @@ def test_im2col_round_trip_identity(width, c, seed):
     folded = kernels.col2im(kernels.im2col(x, width), width)
     coverage = np.array([min(t, length - width, width - 1, length - 1 - t) + 1 for t in range(length)])
     np.testing.assert_allclose(folded, x * coverage[:, None], rtol=1e-12)
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 10 ** 6))
+@settings(max_examples=30, deadline=None)
+def test_im2col_col2im_with_starts_adjoint(width, c, seed):
+    """<im2col(x, w, s), y> == <x, col2im(y, w, s, rows)> for strictly increasing s,
+    the windows the encoder takes at each sentence's rows."""
+    rng = np.random.default_rng(seed)
+    rows = width + int(rng.integers(0, 8))
+    starts = np.flatnonzero(rng.random(rows - width + 1) < 0.6)
+    x = rng.normal(size=(rows, c))
+    y = rng.normal(size=(starts.size, width * c))
+    lhs = np.sum(kernels.im2col(x, width, starts) * y)
+    rhs = np.sum(x * kernels.col2im(y, width, starts, rows))
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)

@@ -93,3 +93,16 @@ def test_pipeline_calls_every_required_span(tracer, tmp_path):
     layers = tracing.per_layer(tracer, workloads.TRACED_OPS, list(workloads.MODELS))
     assert layers["encoder.encode.calls"] > 0
     assert layers["autodiff.grad1.s"] > 0  # the training backward's grad span
+
+
+def test_run_environment_reads_the_kernel_route(monkeypatch):
+    # run.py's environment() reads kernels.USING_NUMBA before any benchmark
+    # work, and the tracer wraps the four kernels by name (checked above), so
+    # renaming or removing either fails here rather than in a benchmark run
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))  # run.py sets them on import
+    monkeypatch.syspath_prepend(PERFBENCH)  # run.py imports workloads as a top-level module
+    run = _load("run")
+    env = run.environment("desk", 1, 1, 0)
+    assert env["kernel_route"] == "numpy"
+    assert (env["workload"], env["seed"], env["seconds"], env["trace"]) == ("desk", 1, 1, 0)
