@@ -23,13 +23,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__
 from .corpus import (
-    Bag,
     CorpusError,
     ReprMode,
     build_expl_eval,
@@ -39,7 +38,7 @@ from .corpus import (
     write_corpus,
 )
 from .distractor import AugmentedBag, DistractorError, build_index, sample_distractor
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, _is_int
 from .evaluation import (
     kendall_report,
     positive_pair_probs,
@@ -93,39 +92,24 @@ def _csv_comment(args: argparse.Namespace) -> str:
     return f"# seed={config.get('seed')} config_hash={_config_hash(config)}"
 
 
-def _entity_count(bags) -> int:
-    highest = -1
-    for bag in bags:
-        highest = max(highest, bag.entity_i, bag.entity_j)
-    return highest + 1
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
     with open(args.config) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError("generator config must be a JSON object")
-    try:
-        gen_cfg = GenConfig(**{k: tuple(v) if isinstance(v, list) else v
-                               for k, v in raw.items()})
-    except TypeError as exc:
-        raise ValueError(f"bad generator config: {exc}") from exc
+        gen_cfg = GenConfig.from_dict(json.load(fh))
 
     train, test = generate_synthetic_corpus(gen_cfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
-    n_entities = max(_entity_count(train), _entity_count(test))
     base_meta = {
         "seed": args.seed,
         "config_hash": _config_hash(_run_options(args)),
-        "gen_config": asdict(gen_cfg),
+        "gen_config": gen_cfg.to_dict(),
         "vocab_size": gen_cfg.vocab_size,
         "n_fget": gen_cfg.n_fget,
         "n_relations": gen_cfg.n_relations,
-        "n_entities": n_entities,
+        "n_entities": corpus_stats(train + test)["n_entities"],
     }
     write_corpus(os.path.join(args.out, "train.jsonl"), train,
                  meta={**base_meta, "split": "train"})
@@ -137,12 +121,14 @@ def cmd_gen_data(args) -> int:
 
 
 def _corpus_dims(bags, meta: dict) -> dict:
-    stats = corpus_stats(bags)
+    """Each size the larger of the header's and the one the bags need."""
+    found = corpus_stats(bags)
     dims = {}
-    for key in ("vocab_size", "n_fget", "n_relations"):
-        from_meta = int(meta[key]) if key in meta else 0
-        dims[key] = max(from_meta, stats[key])
-    dims["n_entities"] = max(int(meta.get("n_entities", 0)), _entity_count(bags))
+    for key in ("vocab_size", "n_fget", "n_relations", "n_entities"):
+        declared = meta.get(key, 0)
+        if not _is_int(declared):
+            raise CorpusError(f"corpus header key {key!r} must be an integer, got {declared!r}")
+        dims[key] = max(declared, found[key])
     return dims
 
 
@@ -283,13 +269,7 @@ def cmd_augment(args) -> int:
     for bag in bags:
         for k in sorted(bag.relations):
             aug = AugmentedBag(bag, k, sample_distractor(bag, k, index, rng))
-            whole = aug.to_bag()
-            augmented.append(Bag(
-                bag_id=f"{bag.bag_id}#k{k}",
-                entity_i=whole.entity_i, entity_j=whole.entity_j,
-                fget_i=whole.fget_i, fget_j=whole.fget_j,
-                relations=whole.relations, sentences=whole.sentences,
-            ))
+            augmented.append(replace(aug.to_bag(), bag_id=f"{bag.bag_id}#k{k}"))
 
     os.makedirs(args.out, exist_ok=True)
     write_corpus(os.path.join(args.out, "augmented.jsonl"), augmented,

@@ -15,9 +15,10 @@ half-open [start, end) token index ranges.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 
 class CorpusError(ValueError):
@@ -77,21 +78,6 @@ class ExplEvalTuple:
     irrelevant_idx: int
 
 
-@dataclass(frozen=True)
-class SentenceRecord:
-    """One raw sentence observation before bagging, keyed by its entity pair."""
-
-    entity_i: int
-    entity_j: int
-    fget_i: int
-    fget_j: int
-    tokens: tuple[int, ...]
-    mention_i: tuple[int, int]
-    mention_j: tuple[int, int]
-    relevance_label: bool | None = None
-    rationale_for: frozenset[int] | None = None
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -104,7 +90,7 @@ def _validate_sentence(s: Sentence, bag_id: str, idx: int, relations: frozenset[
     n = len(s.tokens)
     if n == 0:
         raise CorpusError(f"bag {bag_id!r} sentence {idx}: empty token sequence")
-    if any((not isinstance(t, int)) or t < 0 for t in s.tokens):
+    if any(type(t) is not int or t < 0 for t in s.tokens):
         raise CorpusError(f"bag {bag_id!r} sentence {idx}: token ids must be nonnegative integers")
     for name, (start, end) in (("mention_i", s.mention_i), ("mention_j", s.mention_j)):
         if not (0 <= start < end <= n):
@@ -169,43 +155,62 @@ def _bag_to_json(bag: Bag) -> dict:
     }
 
 
-def _span_from_json(raw, what: str, bag_id: str) -> tuple[int, int]:
-    if not (isinstance(raw, list) and len(raw) == 2 and all(isinstance(v, int) for v in raw)):
-        raise CorpusError(f"bag {bag_id!r}: {what} must be a [start, end] integer pair")
-    return (raw[0], raw[1])
+def _is_ints(v) -> bool:
+    return isinstance(v, list) and all(type(x) is int for x in v)  # JSON true is no id
+
+
+_ID = (lambda v: type(v) is int, "an integer")
+_IDS = (_is_ints, "a list of integers")
+_SPAN = (lambda v: _is_ints(v) and len(v) == 2, "a [start, end] integer pair")
+_FLAG = (lambda v: isinstance(v, bool), "a boolean")
+_LIST = (lambda v: isinstance(v, list), "a list")
+# field -> (check, what the field must be); validate_bag checks each token
+_BAG_FIELDS = {"entity_i": _ID, "entity_j": _ID, "fget_i": _ID, "fget_j": _ID,
+               "relations": _IDS, "sentences": _LIST}
+_SENTENCE_FIELDS = {"tokens": _LIST, "mention_i": _SPAN, "mention_j": _SPAN}
+_OPTIONAL_FIELDS = {"relevance_label": _FLAG, "rationale_for": _IDS, "distractor": _FLAG}
+
+
+def _check_fields(obj, fields: dict, where: str, required: bool = True):
+    """Raise CorpusError naming where and the field for a missing (if required) or mistyped field."""
+    if not isinstance(obj, dict):
+        raise CorpusError(f"{where}: must be a JSON object, got {reprlib.repr(obj)}")
+    for key, (ok, what) in fields.items():
+        if key not in obj:
+            if required:
+                raise CorpusError(f"{where}: missing field {key!r}")
+        elif not ok(obj[key]):
+            raise CorpusError(f"{where}: field {key!r} must be {what}, "
+                              f"got {reprlib.repr(obj[key])}")
 
 
 def _bag_from_json(obj: dict, bag_id: str) -> Bag:
-    try:
-        fget_i = int(obj["fget_i"])
-        fget_j = int(obj["fget_j"])
-        sentences = []
-        for raw in obj["sentences"]:
-            rationale = raw.get("rationale_for")
-            sentences.append(
-                Sentence(
-                    tokens=tuple(raw["tokens"]),
-                    mention_i=_span_from_json(raw["mention_i"], "mention_i", bag_id),
-                    mention_j=_span_from_json(raw["mention_j"], "mention_j", bag_id),
-                    fget_i=fget_i,
-                    fget_j=fget_j,
-                    relevance_label=None if "relevance_label" not in raw
-                    else bool(raw["relevance_label"]),
-                    rationale_for=None if rationale is None else frozenset(int(k) for k in rationale),
-                    distractor=bool(raw.get("distractor", False)),
-                )
-            )
-        bag = Bag(
-            bag_id=bag_id,
-            entity_i=int(obj["entity_i"]),
-            entity_j=int(obj["entity_j"]),
-            fget_i=fget_i,
-            fget_j=fget_j,
-            relations=frozenset(int(k) for k in obj["relations"]),
-            sentences=tuple(sentences),
-        )
-    except (KeyError, TypeError) as exc:
-        raise CorpusError(f"bag {bag_id!r}: missing or mistyped field ({exc})") from exc
+    where = f"bag {bag_id!r}"
+    _check_fields(obj, _BAG_FIELDS, where)
+    sentences = []
+    for idx, raw in enumerate(obj["sentences"]):
+        _check_fields(raw, _SENTENCE_FIELDS, f"{where} sentence {idx}")
+        _check_fields(raw, _OPTIONAL_FIELDS, f"{where} sentence {idx}", required=False)
+        rationale = raw.get("rationale_for")
+        sentences.append(Sentence(
+            tokens=tuple(raw["tokens"]),
+            mention_i=tuple(raw["mention_i"]),
+            mention_j=tuple(raw["mention_j"]),
+            fget_i=obj["fget_i"],
+            fget_j=obj["fget_j"],
+            relevance_label=raw.get("relevance_label"),
+            rationale_for=None if rationale is None else frozenset(rationale),
+            distractor=raw.get("distractor", False),
+        ))
+    bag = Bag(
+        bag_id=bag_id,
+        entity_i=obj["entity_i"],
+        entity_j=obj["entity_j"],
+        fget_i=obj["fget_i"],
+        fget_j=obj["fget_j"],
+        relations=frozenset(obj["relations"]),
+        sentences=tuple(sentences),
+    )
     validate_bag(bag)
     return bag
 
@@ -246,6 +251,8 @@ def read_corpus_meta(path: str) -> dict:
                 continue
             obj = json.loads(line)
             if isinstance(obj, dict) and "_header" in obj:
+                if not isinstance(obj["_header"], dict):
+                    raise CorpusError(f"{path}: the _header must be a JSON object")
                 return obj["_header"]
             return {}
     return {}
@@ -260,116 +267,20 @@ def write_corpus(path: str, bags: Sequence[Bag], meta: dict | None = None):
             fh.write(json.dumps(_bag_to_json(bag), sort_keys=True) + "\n")
 
 
-def write_expl_eval(path: str, tuples: Sequence[ExplEvalTuple], meta: dict | None = None):
-    with open(path, "w") as fh:
-        if meta is not None:
-            fh.write(json.dumps({"_header": meta}, sort_keys=True) + "\n")
-        for t in tuples:
-            fh.write(
-                json.dumps(
-                    {
-                        "bag_id": t.bag_id,
-                        "relation": t.relation,
-                        "rationale_idx": t.rationale_idx,
-                        "irrelevant_idx": t.irrelevant_idx,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-
-
-def load_expl_eval(path: str) -> list[ExplEvalTuple]:
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "_header" in obj:
-                continue
-            try:
-                out.append(
-                    ExplEvalTuple(
-                        bag_id=str(obj["bag_id"]),
-                        relation=int(obj["relation"]),
-                        rationale_idx=int(obj["rationale_idx"]),
-                        irrelevant_idx=int(obj["irrelevant_idx"]),
-                    )
-                )
-            except (KeyError, TypeError) as exc:
-                raise CorpusError(f"{path}:{lineno}: bad tuple line ({exc})") from exc
-    return out
-
-
 # ---------------------------------------------------------------------------
-# bag construction and statistics
+# statistics
 # ---------------------------------------------------------------------------
-
-def build_bags(records: Iterable[SentenceRecord],
-               kb: Mapping[tuple[int, int], Iterable[int]]) -> list[Bag]:
-    """Group sentence records into one bag per distinct ordered entity pair.
-
-    Bag relations come from the kb mapping; pairs absent from the kb get an
-    empty relation set (negative bags). First-appearance order of pairs and
-    input sentence order are both preserved.
-    """
-    order: list[tuple[int, int]] = []
-    grouped: dict[tuple[int, int], list[SentenceRecord]] = {}
-    for rec in records:
-        key = (rec.entity_i, rec.entity_j)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(rec)
-
-    bags = []
-    for key in order:
-        recs = grouped[key]
-        fget = (recs[0].fget_i, recs[0].fget_j)
-        bag_id = f"b{key[0]}_{key[1]}"
-        for rec in recs:
-            if (rec.fget_i, rec.fget_j) != fget:
-                raise CorpusError(
-                    f"bag {bag_id!r}: records disagree on the FGET pair "
-                    f"({rec.fget_i}, {rec.fget_j}) vs {fget}"
-                )
-        relations = frozenset(int(k) for k in kb.get(key, ()))
-        sentences = tuple(
-            Sentence(
-                tokens=tuple(rec.tokens),
-                mention_i=tuple(rec.mention_i),
-                mention_j=tuple(rec.mention_j),
-                fget_i=fget[0],
-                fget_j=fget[1],
-                relevance_label=rec.relevance_label,
-                rationale_for=rec.rationale_for,
-            )
-            for rec in recs
-        )
-        bag = Bag(
-            bag_id=bag_id,
-            entity_i=key[0],
-            entity_j=key[1],
-            fget_i=fget[0],
-            fget_j=fget[1],
-            relations=relations,
-            sentences=sentences,
-        )
-        validate_bag(bag)
-        bags.append(bag)
-    return bags
-
 
 def corpus_stats(bags: Sequence[Bag]) -> dict:
-    """Sizes inferred from the data: vocab extent, FGET extent, relation extent."""
+    """Sizes inferred from the data: vocab, FGET, relation and entity extents."""
     n_tokens = 0
     n_fget = 0
     n_relations = 0
+    n_entities = 0
     n_sentences = 0
     for bag in bags:
         n_fget = max(n_fget, bag.fget_i + 1, bag.fget_j + 1)
+        n_entities = max(n_entities, bag.entity_i + 1, bag.entity_j + 1)
         for k in bag.relations:
             n_relations = max(n_relations, k + 1)
         for s in bag.sentences:
@@ -380,6 +291,7 @@ def corpus_stats(bags: Sequence[Bag]) -> dict:
         "vocab_size": n_tokens,
         "n_fget": n_fget,
         "n_relations": n_relations,
+        "n_entities": n_entities,
         "n_bags": len(bags),
         "n_sentences": n_sentences,
     }
@@ -418,20 +330,30 @@ def apply_repr_mode(sentence: Sentence, mode: ReprMode,
             return [type_tok]
         return [type_tok] + list(sentence.tokens[span[0]:span[1]])
 
-    spans = [("i", sentence.mention_i, sentence.fget_i), ("j", sentence.mention_j, sentence.fget_j)]
-    spans.sort(key=lambda item: item[1][0])
+    return splice_mentions(sentence, block(sentence.mention_i, sentence.fget_i),
+                           block(sentence.mention_j, sentence.fget_j))
 
+
+def splice_mentions(sentence: Sentence, block_i: Sequence[int], block_j: Sequence[int]
+                    ) -> tuple[tuple[int, ...], tuple[int, int], tuple[int, int]]:
+    """The sentence's tokens with mention_i replaced by block_i and mention_j by
+    block_j, and the two spans that now cover the blocks.
+
+    Tokens outside the mention spans keep their order; the spans may come
+    in either order but must not overlap.
+    """
+    spans = sorted([(sentence.mention_i, block_i, 0), (sentence.mention_j, block_j, 1)],
+                   key=lambda item: item[0][0])
     tokens: list[int] = []
-    new_spans: dict[str, tuple[int, int]] = {}
+    new_spans: list[tuple[int, int]] = [(0, 0), (0, 0)]
     cursor = 0
-    for name, (start, end), fget in spans:
+    for (start, end), block, which in spans:
         tokens.extend(sentence.tokens[cursor:start])
-        b = block((start, end), fget)
-        new_spans[name] = (len(tokens), len(tokens) + len(b))
-        tokens.extend(b)
+        new_spans[which] = (len(tokens), len(tokens) + len(block))
+        tokens.extend(block)
         cursor = end
     tokens.extend(sentence.tokens[cursor:])
-    return tuple(tokens), new_spans["i"], new_spans["j"]
+    return tuple(tokens), new_spans[0], new_spans[1]
 
 
 # ---------------------------------------------------------------------------

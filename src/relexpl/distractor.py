@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import Bag, Sentence
+from .corpus import Bag, Sentence, splice_mentions
 from .explain import gi_vector
 from .models import BagForward, RelationModel
 
@@ -99,26 +99,13 @@ def _substitute_mentions(donor: Sentence, base: Bag) -> Sentence:
     representation modes uses the base types as well.
     """
     source = base.sentences[0]
-    repl = {
-        "i": list(source.tokens[source.mention_i[0]:source.mention_i[1]]),
-        "j": list(source.tokens[source.mention_j[0]:source.mention_j[1]]),
-    }
-    spans = [("i", donor.mention_i), ("j", donor.mention_j)]
-    spans.sort(key=lambda item: item[1][0])
-    tokens: list[int] = []
-    new_spans: dict[str, tuple[int, int]] = {}
-    cursor = 0
-    for name, (start, end) in spans:
-        tokens.extend(donor.tokens[cursor:start])
-        block = repl[name]
-        new_spans[name] = (len(tokens), len(tokens) + len(block))
-        tokens.extend(block)
-        cursor = end
-    tokens.extend(donor.tokens[cursor:])
+    tokens, mention_i, mention_j = splice_mentions(
+        donor, source.tokens[source.mention_i[0]:source.mention_i[1]],
+        source.tokens[source.mention_j[0]:source.mention_j[1]])
     return Sentence(
-        tokens=tuple(tokens),
-        mention_i=new_spans["i"],
-        mention_j=new_spans["j"],
+        tokens=tokens,
+        mention_i=mention_i,
+        mention_j=mention_j,
         fget_i=base.fget_i,
         fget_j=base.fget_j,
         relevance_label=None,

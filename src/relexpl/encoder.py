@@ -137,23 +137,10 @@ def add_param(params: dict[str, Tensor], init: np.random.Generator | dict[str, n
     params[name] = Tensor(data, requires_grad=requires_grad)
 
 
-def relative_position(token_idx: int, span: tuple[int, int], clip: int) -> int:
-    """Signed distance to the nearest token of a half-open span, clipped to [-clip, clip]."""
-    start, end = span
-    if start <= token_idx < end:
-        return 0
-    if token_idx < start:
-        return max(token_idx - start, -clip)
-    return min(token_idx - (end - 1), clip)
-
-
-def position_ids(length: int, span: tuple[int, int], clip: int) -> np.ndarray:
-    """Table row per token: offset shifted into [0, 2*clip]."""
-    return _position_rows(np.arange(length), span[0], span[1], clip)
-
-
 def _position_rows(t: np.ndarray, start, end, clip: int) -> np.ndarray:
-    """relative_position(t, (start, end), clip) + clip, elementwise over broadcast int arrays."""
+    """Position-table row of token t for the mention span [start, end), elementwise
+    over broadcast int arrays: the signed distance to the span's nearest token
+    (0 inside it), clipped to [-clip, clip], plus clip."""
     after = np.where(t >= end, np.minimum(t - (end - 1), clip), 0)
     return np.where(t < start, np.maximum(t - start, -clip), after) + clip
 

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Bag, ExplEvalTuple
-from .models import RelationModel
+from .models import RelationModel, label_vector
 
 H_INTERVAL = (0.76, 1.0)
 L_INTERVAL = (0.0, 0.25)
@@ -55,12 +55,14 @@ class KendallReport:
 
 
 def score_bags(model: RelationModel, bags: Sequence[Bag]) -> list[ScoredPair]:
-    """One probability per (bag, relation) over all K relations."""
+    """One probability per (bag, relation) over all K relations; a label k >= K raises."""
+    K = model.cfg.n_relations
     pairs = []
     for bag in bags:
+        labels = label_vector(bag, K)
         probs = model.forward_bag(bag).probs
-        for k in range(model.cfg.n_relations):
-            pairs.append(ScoredPair(bag.bag_id, k, float(probs[k]), k in bag.relations))
+        for k in range(K):
+            pairs.append(ScoredPair(bag.bag_id, k, float(probs[k]), bool(labels[k])))
     return pairs
 
 
@@ -168,13 +170,14 @@ def confidence_split(probs: Mapping[tuple[str, int], float]) -> tuple[set, set]:
 def positive_pair_probs(model: RelationModel, bags: Sequence[Bag]) -> dict[tuple[str, int], float]:
     """Model probability for every (positive bag, labeled relation) pair.
 
-    A non-finite probability raises ValueError naming its bag and relation:
-    the confidence buckets would drop it silently.
+    A label k >= K or a non-finite probability raises ValueError naming its
+    bag: the confidence buckets would drop it silently.
     """
     out: dict[tuple[str, int], float] = {}
     for bag in bags:
         if not bag.relations:
             continue
+        label_vector(bag, model.cfg.n_relations)  # raises for a relation k >= K
         probs = model.forward_bag(bag).probs
         for k in sorted(bag.relations):
             p = float(probs[k])

@@ -39,6 +39,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Bag
+from .encoder import _is_int
 from .models import BagForward, DirectSupModel, RelationModel
 
 METHODS = ("attention", "saliency", "gi", "loo")
@@ -186,10 +187,6 @@ def write_scores(path: str, scores: Sequence[ImportanceScores], meta: dict | Non
                  "scores": list(s.scores)},
                 sort_keys=True, allow_nan=False,
             ) + "\n")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)  # JSON true is no relation id
 
 
 # field -> (check, what the field must be)

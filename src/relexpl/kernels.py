@@ -15,38 +15,34 @@ import numpy as np
 USING_NUMBA = False  # one numpy route; the constant stays for tools that report the route
 
 
-def im2col(xpad: np.ndarray, width: int, starts: np.ndarray | None = None) -> np.ndarray:
-    """Unfold a padded (Lp, c) sequence into one row of width*c values per window.
+def im2col(xpad: np.ndarray, width: int, starts: np.ndarray) -> np.ndarray:
+    """Unfold the windows of a padded (Lp, c) sequence that start at rows starts.
 
     Row r is the concatenation xpad[t], xpad[t+1], ..., xpad[t+width-1] for
-    t = starts[r]; without starts every window is taken, t = 0 .. Lp-width.
-    Each window is a contiguous run of xpad's C-order memory, so a row is one
-    copy out of a strided view of all windows.
+    t = starts[r]. Each window is a contiguous run of xpad's C-order memory,
+    so a row is one copy out of a strided view of all windows.
     """
     lp, c = xpad.shape
     windows = np.ndarray((lp - width + 1, width * c), dtype=np.float64, buffer=xpad,
                          strides=xpad.strides)
-    return windows.copy() if starts is None else windows[starts]
+    return windows[starts]
 
 
-def col2im(g: np.ndarray, width: int, starts: np.ndarray | None = None,
-           rows: int | None = None) -> np.ndarray:
-    """Adjoint of im2col: fold (n, width*c) back into (rows, c), summing overlaps.
+def col2im(g: np.ndarray, width: int, starts: np.ndarray, rows: int) -> np.ndarray:
+    """Adjoint of im2col: fold (n, width*c) windows at the distinct starts back
+    into (rows, c), summing overlaps.
 
-    Without starts the windows are t = 0 .. n-1 and rows is n + width - 1.
-    With starts (distinct), the rows of g are first spread over the grid of
-    all rows - width + 1 windows, the others holding zeros, and the grid is
-    folded; a zero term leaves every sum as it is.
+    The rows of g are first spread over the grid of all rows - width + 1
+    windows, the others holding zeros, and the grid is folded; a zero term
+    leaves every sum as it is.
     """
-    if starts is not None:
-        grid = np.zeros((rows - width + 1, g.shape[1]), dtype=np.float64)
-        grid[starts] = g
-        g = grid
-    n, wc = g.shape
+    grid = np.zeros((rows - width + 1, g.shape[1]), dtype=np.float64)
+    grid[starts] = g
+    n, wc = grid.shape
     c = wc // width
-    out = np.zeros((n + width - 1, c), dtype=np.float64)
+    out = np.zeros((rows, c), dtype=np.float64)
     for dt in range(width):
-        out[dt:dt + n] += g[:, dt * c:(dt + 1) * c]
+        out[dt:dt + n] += grid[:, dt * c:(dt + 1) * c]
     return out
 
 

@@ -217,12 +217,6 @@ class RelationModel:
             sentences = [bag.sentences[i] for i in include]
         return self.forward_sentences(sentences, bag.entity_i, bag.entity_j)
 
-    def predict_k(self, bag: Bag, k: int) -> tuple[float, float]:
-        """(probability, logit) for one relation; k must be in range."""
-        self._check_k(k)
-        fwd = self.forward_bag(bag)
-        return float(fwd.probs[k]), float(fwd.logits.data[k])
-
     def _check_k(self, k: int):
         if not 0 <= k < self.cfg.n_relations:
             raise ValueError(f"relation {k} out of range [0, {self.cfg.n_relations})")

@@ -18,12 +18,12 @@ predictions so the low-probability evaluation bucket is populated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .corpus import Bag, Sentence
+from .encoder import _is_int
 
 
 @dataclass(frozen=True)
@@ -71,22 +71,38 @@ class GenConfig:
             raise ValueError("bag counts must be nonnegative")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GenConfig":
-        d = dict(d)
-        for key in ("sentences_per_bag", "sentence_len"):
-            if key in d:
-                d[key] = tuple(d[key])
-        cfg = cls(**d)
+        """A validated config from a JSON object holding any of the fields.
+
+        Values are kept as given, with no coercion between int and float:
+        counts must be ints, rates ints or floats, and the two ranges lists
+        of two ints (JSON true is none of these). An unknown key or an
+        ill-typed value raises ValueError naming the key.
+        """
+        if not isinstance(d, dict):
+            raise ValueError(f"generator config must be a JSON object, got {type(d).__name__}")
+        for key, v in d.items():
+            if key not in _FIELD_CHECKS:
+                raise ValueError(f"generator config has unknown key {key!r}")
+            ok, what = _FIELD_CHECKS[key]
+            if not ok(v):
+                raise ValueError(f"generator config key {key!r} must be {what}, got {v!r}")
+        cfg = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
         cfg.validate()
         return cfg
 
-    @classmethod
-    def from_json_file(cls, path: str) -> "GenConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+
+_COUNT = (_is_int, "an int")
+_RATE = (lambda v: _is_int(v) or isinstance(v, float), "an int or a float")
+_RANGE = (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+          "a list of two ints")
+# GenConfig field -> (check of its JSON value, what the value must be), chosen by
+# the field's annotation, a string under `from __future__ import annotations`
+_FIELD_CHECKS = {name: {"int": _COUNT, "float": _RATE, "tuple[int, int]": _RANGE}[f.type]
+                 for name, f in GenConfig.__dataclass_fields__.items()}
 
 
 def _filler_range(cfg: GenConfig) -> tuple[int, int]:

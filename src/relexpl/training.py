@@ -28,7 +28,7 @@ from .corpus import Bag
 from .distractor import AugmentedBag, augmented_bag_loss, build_index, combined_loss, sample_distractor
 from .evaluation import pr_auc, score_bags
 from .models import DirectSupModel, RelationModel, bce_loss, label_vector, relevance_loss
-from .optim import Adam
+from .optim import Adam, restore_params
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,6 @@ class TrainResult:
 
 def _snapshot(model: RelationModel) -> dict[str, np.ndarray]:
     return {name: p.data.copy() for name, p in model.params.items()}
-
-
-def _restore(model: RelationModel, snap: dict[str, np.ndarray]):
-    for name, p in model.params.items():
-        p.data[...] = snap[name]
 
 
 def _validation_auc(model: RelationModel, bags: Sequence[Bag]) -> float | None:
@@ -163,7 +158,7 @@ def train_model(model: RelationModel, bags: Sequence[Bag], cfg: TrainConfig) -> 
             best = _snapshot(model)
             best_epoch = epoch
 
-    _restore(model, best)
+    restore_params(model.params, best)
     return TrainResult(
         best_epoch=best_epoch,
         best_val_auc=float(best_auc) if np.isfinite(best_auc) else float("nan"),

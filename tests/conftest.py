@@ -1,5 +1,6 @@
 """Shared test helpers: finite-difference oracles against the tensor engine,
-and conv1d, the per-sentence convolution the encoder is checked against."""
+conv1d, the per-sentence convolution the encoder is checked against, and
+predict_k, one relation's prediction from a fresh forward pass."""
 
 import numpy as np
 
@@ -101,3 +102,9 @@ def conv1d(x, filters, bias=None):
     windows = np.arange(length)[:, None] + np.arange(width)  # (L, width) padded rows
     out = ad.matmul(ad.reshape(ad.take(padded, windows), (length, width * c_in)), filters)
     return out if bias is None else ad.add(out, bias)
+
+
+def predict_k(model, bag, k):
+    """(probability, logit) of relation k for the bag, from one fresh forward pass."""
+    fwd = model.forward_bag(bag)
+    return float(fwd.probs[k]), float(fwd.logits.data[k])

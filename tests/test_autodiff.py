@@ -256,12 +256,13 @@ class TestGatherConv:
         for _ in range(10):
             x = rng.normal(size=(7, 3))
             y = rng.normal(size=(5, 9))
-            (fd,) = numeric_grad(lambda a: float(np.sum(kernels.im2col(a, 3) * y)), [x])
-            assert rel_err(kernels.col2im(y, 3), fd) < 1e-8
+            s = np.arange(5)
+            (fd,) = numeric_grad(lambda a: float(np.sum(kernels.im2col(a, 3, s) * y)), [x])
+            assert rel_err(kernels.col2im(y, 3, s, 7), fd) < 1e-8
             m = rng.normal(size=(5, 6))
             y = rng.normal(size=(6, 3))
-            (fd,) = numeric_grad(lambda a: float(np.sum(kernels.col2im(a, 2) * y)), [m])
-            assert rel_err(kernels.im2col(y, 2), fd) < 1e-8
+            (fd,) = numeric_grad(lambda a: float(np.sum(kernels.col2im(a, 2, s, 6) * y)), [m])
+            assert rel_err(kernels.im2col(y, 2, s), fd) < 1e-8
 
     @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)
@@ -270,9 +271,10 @@ class TestGatherConv:
         rng = np.random.default_rng(seed)
         length = width + int(rng.integers(0, 5))
         x = rng.normal(size=(length, c))
-        y = rng.normal(size=(length - width + 1, width * c))
-        lhs = np.sum(kernels.im2col(x, width) * y)
-        rhs = np.sum(x * kernels.col2im(y, width))
+        starts = np.arange(length - width + 1)
+        y = rng.normal(size=(starts.size, width * c))
+        lhs = np.sum(kernels.im2col(x, width, starts) * y)
+        rhs = np.sum(x * kernels.col2im(y, width, starts, length))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     @given(st.sampled_from(["int", "slice", "slices", "rows", "colwise"]),
@@ -625,7 +627,7 @@ def test_property_linear_ops_additivity(n, d, seed):
     y = rng.normal(size=(n, d))
     for f in (
         lambda m: ad.put(Tensor(m), slice(1, n + 1), (n + 3, d)).data,
-        lambda m: kernels.im2col(np.vstack([m, m]), 2),
+        lambda m: kernels.im2col(np.vstack([m, m]), 2, np.arange(2 * n - 1)),
         lambda m: ad.reduce_sum(Tensor(m), 0).data,
         lambda m: ad.transpose(Tensor(m)).data,
     ):

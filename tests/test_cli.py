@@ -332,6 +332,78 @@ class TestExplEval:
         assert "line 2" in err and field in err
 
 
+def _edited_corpus(src, dst, line, edit):
+    """Copy the corpus file src to dst with edit applied to the JSON object on
+    the given line (0 is gen-data's header, 1 the first bag)."""
+    lines = src.read_text().splitlines()
+    obj = json.loads(lines[line])
+    edit(obj)
+    lines[line] = json.dumps(obj)
+    dst.write_text("\n".join(lines) + "\n")
+    return str(dst)
+
+
+class TestMistypedInputs:
+    """A mistyped config, corpus field or relation id exits 3 and names its cause:
+    no traceback, and no value silently coerced into another."""
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_relations", "5"), ("sentence_len", 7), ("n_train_bags", 2.5),
+        ("n_relations", True), ("hard_rate", True), ("sentences_per_bag", [2, 3.0]),
+    ], ids=["count-str", "range-int", "count-float", "count-bool", "rate-bool",
+            "range-float"])
+    def test_gen_data_config(self, tmp_path, capsys, key, value):
+        config = tmp_path / "gen.json"
+        config.write_text(json.dumps({**GEN_CONFIG, key: value}))
+        assert main(["gen-data", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"generator config key {key!r} must be" in err
+
+    @pytest.mark.parametrize("line,edit,cause", [
+        (1, lambda b: b.update(sentences=[5]), "sentence 0: must be a JSON object"),
+        (1, lambda b: b.update(sentences="abc"), "field 'sentences' must be a list"),
+        (1, lambda b: b.update(relations=[0.7]), "field 'relations' must be a list of integers"),
+        (1, lambda b: b.update(entity_i=True), "field 'entity_i' must be an integer"),
+        (1, lambda b: b.update(fget_j="1"), "field 'fget_j' must be an integer"),
+        (1, lambda b: b["sentences"][0].update(relevance_label="yes"),
+         "sentence 0: field 'relevance_label' must be a boolean"),
+        (1, lambda b: b["sentences"][0].update(distractor=1),
+         "sentence 0: field 'distractor' must be a boolean"),
+        (1, lambda b: b["sentences"][0]["tokens"].__setitem__(0, True),
+         "sentence 0: token ids must be nonnegative integers"),
+        (0, lambda h: h["_header"].update(vocab_size=[3]),
+         "corpus header key 'vocab_size' must be an integer"),
+        (0, lambda h: h.update(_header=5), "the _header must be a JSON object"),
+    ], ids=["sentence-int", "sentences-str", "relation-float", "entity-bool", "fget-str",
+            "relevance-str", "distractor-int", "token-bool", "header-size-list", "header-int"])
+    def test_train_corpus(self, workspace, tmp_path, capsys, line, edit, cause):
+        corpus = _edited_corpus(workspace / "data" / "train.jsonl", tmp_path / "c.jsonl",
+                                line, edit)
+        assert main(["train", "--corpus", corpus, "--out", str(tmp_path / "run"),
+                     "--epochs", "1", *SMALL_ENCODER]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert cause in err
+        if line:
+            assert "bag 'tr00000'" in err
+
+    @pytest.mark.parametrize("command", ["eval", "expl-eval"])
+    def test_relation_the_model_lacks(self, workspace, tmp_path, capsys, command):
+        checkpoint = str(workspace / "run" / "checkpoint.json")
+        clean = str(workspace / "data" / "test.jsonl")
+        assert main(["explain", "--checkpoint", checkpoint, "--corpus", clean,
+                     "--out", str(tmp_path / "x"), "--methods", "gi"]) == EXIT_OK
+        corpus = _edited_corpus(workspace / "data" / "test.jsonl", tmp_path / "c.jsonl", 1,
+                                lambda b: b.update(relations=b["relations"] + [7]))
+        argv = [command, "--checkpoint", checkpoint, "--corpus", corpus,
+                "--out", str(tmp_path / "out")]
+        if command == "expl-eval":
+            argv += ["--scores", str(tmp_path / "x" / "scores.jsonl")]
+        assert main(argv) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "bag 'te00000' labels relation 7 >= K=2" in err
+
+
 class TestAugment:
     def test_augmented_bags_round_trip(self, workspace, tmp_path):
         out = tmp_path / "aug"

@@ -1,8 +1,10 @@
 """Corpus data model: validation, JSONL round trips, representation modes,
-bagging, and ordering-constraint enumeration."""
+the shared mention splice, and ordering-constraint enumeration."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relexpl.corpus import (
     Bag,
@@ -10,18 +12,15 @@ from relexpl.corpus import (
     ExplEvalTuple,
     ReprMode,
     Sentence,
-    SentenceRecord,
     apply_repr_mode,
-    build_bags,
     build_expl_eval,
     corpus_stats,
     fget_token_id,
     load_corpus,
-    load_expl_eval,
     read_corpus_meta,
     write_corpus,
-    write_expl_eval,
 )
+from relexpl.distractor import _substitute_mentions
 
 
 def make_sentence(tokens=(10, 11, 12, 13), mi=(0, 1), mj=(2, 3), fget=(0, 1), **kw):
@@ -120,35 +119,6 @@ class TestValidation:
             validate_bag(bag)
 
 
-class TestBuildBags:
-    def test_grouping_by_ordered_pair(self):
-        recs = [
-            SentenceRecord(1, 2, 0, 0, (10, 11, 12, 13), (0, 1), (2, 3)),
-            SentenceRecord(3, 4, 1, 1, (10, 11, 12, 13), (0, 1), (2, 3)),
-            SentenceRecord(1, 2, 0, 0, (14, 15, 16, 17), (1, 2), (3, 4)),
-        ]
-        bags = build_bags(recs, kb={(1, 2): {5}})
-        assert len(bags) == 2
-        assert bags[0].bag_id == "b1_2" and len(bags[0].sentences) == 2
-        assert bags[0].relations == frozenset({5})
-        assert bags[1].relations == frozenset()  # pair absent from kb
-
-    def test_ordered_pairs_are_distinct(self):
-        recs = [
-            SentenceRecord(1, 2, 0, 0, (10, 11, 12, 13), (0, 1), (2, 3)),
-            SentenceRecord(2, 1, 0, 0, (10, 11, 12, 13), (0, 1), (2, 3)),
-        ]
-        assert len(build_bags(recs, kb={})) == 2
-
-    def test_empty_input(self):
-        assert build_bags([], kb={}) == []
-
-    def test_kb_relations_pass_through(self):
-        recs = [SentenceRecord(0, 1, 0, 0, (10, 11, 12, 13), (0, 1), (2, 3))]
-        bags = build_bags(recs, kb={(0, 1): [2, 5]})
-        assert bags[0].relations == frozenset({2, 5})
-
-
 class TestReprMode:
     def sentence(self):
         # [w1, mA, w2, mB] with single-token mentions
@@ -201,6 +171,56 @@ class TestReprMode:
     def test_fget_modes_require_sizes(self):
         with pytest.raises(ValueError, match="vocab_size"):
             apply_repr_mode(self.sentence(), ReprMode.FGET)
+
+
+@st.composite
+def two_mention_sentences(draw):
+    """A sentence whose disjoint mentions of 1-3 tokens come in either order,
+    0-2 tokens apart and 0-2 tokens from each edge (adjacent and at the edges included)."""
+    lengths = [draw(st.integers(1, 3)) for _ in range(2)]
+    gaps = [draw(st.integers(0, 2)) for _ in range(3)]  # before, between, after
+    first = (gaps[0], gaps[0] + lengths[0])
+    second = (first[1] + gaps[1], first[1] + gaps[1] + lengths[1])
+    n = second[1] + gaps[2]
+    mi, mj = (second, first) if draw(st.booleans()) else (first, second)
+    tokens = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n))
+    return make_sentence(tokens=tokens, mi=mi, mj=mj, fget=(draw(st.integers(0, 3)), draw(st.integers(0, 3))))
+
+
+def assert_spliced(old, tokens, mi, mj, block_i, block_j):
+    """tokens is old's tokens with mention_i replaced by block_i and mention_j by
+    block_j, and the new spans mi, mj cover the blocks."""
+    assert tokens[mi[0]:mi[1]] == tuple(block_i) and tokens[mj[0]:mj[1]] == tuple(block_j)
+    (s1, e1), (s2, e2) = sorted([old.mention_i, old.mention_j])
+    (n1, m1), (n2, m2) = sorted([mi, mj])
+    assert (mi[0] < mj[0]) == (old.mention_i[0] < old.mention_j[0])
+    t = old.tokens
+    assert tokens[:n1] == t[:s1] and tokens[m1:n2] == t[e1:s2] and tokens[m2:] == t[e2:]
+
+
+class TestSpliceMentions:
+    """Both callers of corpus.splice_mentions: FGET representation modes and
+    the distractor's mention substitution."""
+
+    @given(two_mention_sentences(), st.sampled_from([ReprMode.FGET, ReprMode.FGET_MENTION]))
+    @settings(max_examples=150, deadline=None)
+    def test_repr_modes(self, s, mode):
+        tokens, mi, mj = apply_repr_mode(s, mode, vocab_size=100, n_fget=4)
+        blocks = []
+        for (start, end), fget in ((s.mention_i, s.fget_i), (s.mention_j, s.fget_j)):
+            mention = s.tokens[start:end] if mode is ReprMode.FGET_MENTION else ()
+            blocks.append((fget_token_id(fget, 100), *mention))
+        assert_spliced(s, tokens, mi, mj, *blocks)
+
+    @given(two_mention_sentences(), two_mention_sentences())
+    @settings(max_examples=150, deadline=None)
+    def test_distractor_substitution(self, donor, source):
+        base = make_bag(sentences=(source,), fget=(source.fget_i, source.fget_j))
+        out = _substitute_mentions(donor, base)
+        assert_spliced(donor, out.tokens, out.mention_i, out.mention_j,
+                       source.tokens[source.mention_i[0]:source.mention_i[1]],
+                       source.tokens[source.mention_j[0]:source.mention_j[1]])
+        assert out.distractor and (out.fget_i, out.fget_j) == (base.fget_i, base.fget_j)
 
 
 class TestExplEval:
@@ -258,13 +278,6 @@ class TestExplEval:
                 for k in relations
             )
 
-    def test_tuple_file_round_trip(self, tmp_path):
-        bag = self.annotated_bag("b", {2}, [{2}, set()])
-        tuples = build_expl_eval([bag])
-        path = str(tmp_path / "ee.jsonl")
-        write_expl_eval(path, tuples, meta={"seed": 0})
-        assert load_expl_eval(path) == tuples
-
 
 def test_corpus_stats():
     bags = [
@@ -276,4 +289,5 @@ def test_corpus_stats():
     assert stats["vocab_size"] == 100
     assert stats["n_fget"] == 3
     assert stats["n_relations"] == 4
+    assert stats["n_entities"] == 2
     assert stats["n_bags"] == 2 and stats["n_sentences"] == 2

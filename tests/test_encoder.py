@@ -8,8 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relexpl import autodiff as ad
-from relexpl.encoder import (EncoderConfig, SentenceEncoder, _position_rows, position_ids,
-                             relative_position)
+from relexpl.encoder import EncoderConfig, SentenceEncoder, _position_rows
 
 from conftest import check_param_grads, conv1d
 
@@ -23,6 +22,22 @@ def tiny_cfg(**kw):
 
 def make_encoder(seed=0, **kw):
     return SentenceEncoder(tiny_cfg(**kw), np.random.default_rng(seed))
+
+
+def relative_position(token_idx, span, clip):
+    """Signed distance to the nearest token of a half-open span, clipped to [-clip, clip]:
+    the reference _position_rows is checked against."""
+    start, end = span
+    if start <= token_idx < end:
+        return 0
+    if token_idx < start:
+        return max(token_idx - start, -clip)
+    return min(token_idx - (end - 1), clip)
+
+
+def position_ids(length, span, clip):
+    """Table row per token of a sentence of the given length: offset shifted into [0, 2*clip]."""
+    return np.array([relative_position(t, span, clip) + clip for t in range(length)])
 
 
 class TestRelativePosition:

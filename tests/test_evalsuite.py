@@ -24,6 +24,8 @@ from relexpl.evaluation import (
 )
 from relexpl.models import CnnsAttModel, ModelConfig
 
+from conftest import predict_k
+
 
 def pairs_from(rows):
     return [ScoredPair(bag_id=b, relation=k, prob=p, label=y) for b, k, p, y in rows]
@@ -272,4 +274,4 @@ class TestModelScoring:
         assert set(probs) == {("a", 0), ("c", 0), ("c", 1)}
         for (bid, k), p in probs.items():
             bag = next(b for b in bags if b.bag_id == bid)
-            assert p == model.predict_k(bag, k)[0]
+            assert p == predict_k(model, bag, k)[0]

@@ -35,6 +35,8 @@ from relexpl.models import (
     RelationModel,
 )
 
+from conftest import predict_k
+
 
 def model_cfg(kind="cnns-att", K=2, fusion=False, n_entities=0,
               widths=(2,), channels=3):
@@ -94,7 +96,7 @@ class TestAnalyticLinearHead:
         model.params["head.bias"].data[...] = [0.25, -0.5]
         bag = make_bag(n_sent=1)
         for k in (0, 1):
-            _, o_k = model.predict_k(bag, k)
+            _, o_k = predict_k(model, bag, k)
             b_k = model.params["head.bias"].data[k]
             assert abs(grad_input(model, bag, k)[0] - (o_k - b_k)) < 1e-12
 
@@ -191,7 +193,7 @@ class TestLeaveOneOut:
         for cls, kind in ((DirectSupModel, "directsup"), (CnnsAttModel, "cnns-att")):
             model = cls(model_cfg(kind=kind, K=2, widths=(2, 3), channels=2), seed=1)
             bag = make_bag(n_sent=4, seed=5)
-            o_full = model.predict_k(bag, 1)[1]
+            o_full = predict_k(model, bag, 1)[1]
             scores = leave_one_out(model, bag, 1)
             for n in range(4):
                 reduced = Bag(
@@ -199,7 +201,7 @@ class TestLeaveOneOut:
                     fget_i=bag.fget_i, fget_j=bag.fget_j, relations=bag.relations,
                     sentences=tuple(s for i, s in enumerate(bag.sentences) if i != n),
                 )
-                o_minus = model.predict_k(reduced, 1)[1]
+                o_minus = predict_k(model, reduced, 1)[1]
                 assert scores[n] == o_full - o_minus
 
     def test_duplicate_sentence_scores_zero_under_max_pooling(self):
@@ -214,7 +216,7 @@ class TestLeaveOneOut:
         model.params["head.bias"].data[...] = [0.3, -0.7]
         bag = make_bag(n_sent=1)
         for k in (0, 1):
-            o_k = model.predict_k(bag, k)[1]
+            o_k = predict_k(model, bag, k)[1]
             b_k = model.params["head.bias"].data[k]
             assert abs(leave_one_out(model, bag, k)[0] - (o_k - b_k)) < 1e-12
 
@@ -231,7 +233,7 @@ class TestLeaveOneOut:
         for k in (0, 1):
             o_empty = model.params["head.rel"].data[k] @ fused \
                 + model.params["head.bias"].data[k]
-            o_k = model.predict_k(bag, k)[1]
+            o_k = predict_k(model, bag, k)[1]
             assert abs(leave_one_out(model, bag, k)[0] - (o_k - o_empty)) < 1e-12
 
 
@@ -368,8 +370,8 @@ class TestSharedForward:
         bag = shaped_bag(shape)
         fwd = model.forward_bag(bag)
         for k in range(3):
-            o_full = model.predict_k(bag, k)[1]
-            oracle = [o_full - model.predict_k(without(bag, n), k)[1]
+            o_full = predict_k(model, bag, k)[1]
+            oracle = [o_full - predict_k(model, without(bag, n), k)[1]
                       for n in range(len(bag.sentences))]
             assert leave_one_out(model, bag, k, fwd).tolist() == oracle
             assert leave_one_out(model, bag, k).tolist() == oracle

@@ -11,7 +11,7 @@ class TestNumpyReference:
     def test_im2col_small_case(self):
         # frozen by hand: rows are sliding windows, flattened time-major
         x = np.arange(8.0).reshape(4, 2)
-        out = kernels.im2col(x, 2)
+        out = kernels.im2col(x, 2, np.arange(3))
         expected = np.array(
             [
                 [0.0, 1.0, 2.0, 3.0],
@@ -23,7 +23,7 @@ class TestNumpyReference:
 
     def test_col2im_small_case(self):
         g = np.ones((3, 4))
-        out = kernels.col2im(g, 2)
+        out = kernels.col2im(g, 2, np.arange(3), 4)
         # interior rows receive two overlapping windows
         expected = np.array([[1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
         np.testing.assert_array_equal(out, expected)
@@ -49,7 +49,8 @@ def test_im2col_round_trip_identity(width, c, seed):
     rng = np.random.default_rng(seed)
     length = width + int(rng.integers(0, 6))
     x = rng.normal(size=(length, c))
-    folded = kernels.col2im(kernels.im2col(x, width), width)
+    starts = np.arange(length - width + 1)
+    folded = kernels.col2im(kernels.im2col(x, width, starts), width, starts, length)
     coverage = np.array([min(t, length - width, width - 1, length - 1 - t) + 1 for t in range(length)])
     np.testing.assert_allclose(folded, x * coverage[:, None], rtol=1e-12)
 

@@ -13,6 +13,7 @@ from relexpl import optim
 from relexpl.autodiff import Tensor
 from relexpl.corpus import Bag, ReprMode, Sentence
 from relexpl.encoder import EncoderConfig
+from relexpl.explain import explain_bag
 from relexpl.models import (
     BCE_EPS,
     CnnsAttModel,
@@ -25,7 +26,7 @@ from relexpl.models import (
     relevance_loss,
 )
 
-from conftest import check_param_grads
+from conftest import check_param_grads, predict_k
 
 
 def tiny_model_cfg(kind="directsup", K=3, fusion=False, n_entities=0, **enc_kw):
@@ -181,7 +182,7 @@ class TestPredict:
         model = DirectSupModel(tiny_model_cfg(), seed=0)
         model.params["head.rel"].data[...] = 0.0
         model.params["head.bias"].data[...] = 0.0
-        p, o = model.predict_k(make_bag(), 1)
+        p, o = predict_k(model, make_bag(), 1)
         assert o == 0.0 and p == 0.5
 
     def test_degenerate_head_gives_bias_sigmoid(self):
@@ -189,13 +190,13 @@ class TestPredict:
         model.params["head.rel"].data[...] = 0.0
         model.params["head.bias"].data[...] = np.array([0.0, math.log(9.0), -1.0])
         for seed in (1, 2, 3):
-            p, o = model.predict_k(make_bag(seed=seed), 1)
+            p, o = predict_k(model, make_bag(seed=seed), 1)
             np.testing.assert_allclose(p, 0.9, rtol=1e-12)  # sigmoid(ln 9)
 
     def test_k_out_of_range(self):
         model = DirectSupModel(tiny_model_cfg(K=3), seed=0)
         with pytest.raises(ValueError, match="out of range"):
-            model.predict_k(make_bag(), 3)
+            explain_bag(model, make_bag(), 3, "attention")
 
     def test_logits_linear_in_rep(self):
         model = CnnsAttModel(tiny_model_cfg(kind="cnns-att"), seed=3)

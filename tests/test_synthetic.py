@@ -1,8 +1,11 @@
 """Generator checks: planted signal, rates, annotations, determinism."""
 
+import json
+
 import pytest
 
-from relexpl.corpus import load_corpus, validate_bag, write_corpus
+from relexpl.cli import EXIT_OK, main
+from relexpl.corpus import load_corpus, read_corpus_meta, validate_bag, write_corpus
 from relexpl.synthetic import GenConfig, generate_synthetic_corpus
 
 
@@ -132,8 +135,9 @@ class TestConfig:
         assert GenConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_json_file_round_trip(self, tmp_path):
-        import json
-        cfg = small_cfg()
+        cfg = small_cfg(hard_rate=0.25)
         p = tmp_path / "gen.json"
         p.write_text(json.dumps(cfg.to_dict()))
-        assert GenConfig.from_json_file(str(p)) == cfg
+        assert main(["gen-data", "--config", str(p), "--out", str(tmp_path / "d")]) == EXIT_OK
+        header = read_corpus_meta(str(tmp_path / "d" / "train.jsonl"))
+        assert GenConfig.from_dict(header["gen_config"]) == cfg
