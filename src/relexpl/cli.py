@@ -27,9 +27,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, jsonio
 from .corpus import (
-    CorpusError,
     ReprMode,
     build_expl_eval,
     corpus_stats,
@@ -38,7 +37,7 @@ from .corpus import (
     write_corpus,
 )
 from .distractor import AugmentedBag, DistractorError, build_index, sample_distractor
-from .encoder import EncoderConfig, _is_int
+from .encoder import EncoderConfig
 from .evaluation import (
     kendall_report,
     positive_pair_probs,
@@ -69,42 +68,41 @@ def _run_options(args: argparse.Namespace) -> dict:
             if k not in ("func", "command", "out")}
 
 
-def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
-                    outputs: list[str], metrics: dict | None = None):
+def _stamp(args: argparse.Namespace) -> dict:
+    """The seed and the hash of the run's options, which every artifact repeats."""
     config = _run_options(args)
+    return {"seed": config.get("seed"), "config_hash": _config_hash(config)}
+
+
+def _write_manifest(args: argparse.Namespace, stamp: dict, outputs: list[str],
+                    metrics: dict | None = None):
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
-        "seed": config.get("seed"),
-        "config": config,
-        "config_hash": _config_hash(config),
+        "config": _run_options(args),
         "outputs": outputs,
+        **stamp,
     }
     if metrics is not None:
         manifest["metrics"] = metrics
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    jsonio.write_json(os.path.join(args.out, "manifest.json"), manifest)
 
 
-def _csv_comment(args: argparse.Namespace) -> str:
-    config = _run_options(args)
-    return f"# seed={config.get('seed')} config_hash={_config_hash(config)}"
+def _csv_comment(stamp: dict) -> str:
+    return f"# seed={stamp['seed']} config_hash={stamp['config_hash']}"
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_data(args) -> int:
-    with open(args.config) as fh:
-        gen_cfg = GenConfig.from_dict(json.load(fh))
+def cmd_gen_data(args, stamp: dict) -> int:
+    gen_cfg = GenConfig.from_dict(jsonio.read_object(args.config))
 
     train, test = generate_synthetic_corpus(gen_cfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     base_meta = {
-        "seed": args.seed,
-        "config_hash": _config_hash(_run_options(args)),
+        **stamp,
         "gen_config": gen_cfg.to_dict(),
         "vocab_size": gen_cfg.vocab_size,
         "n_fget": gen_cfg.n_fget,
@@ -115,7 +113,7 @@ def cmd_gen_data(args) -> int:
                  meta={**base_meta, "split": "train"})
     write_corpus(os.path.join(args.out, "test.jsonl"), test,
                  meta={**base_meta, "split": "test"})
-    _write_manifest(args.out, "gen-data", args, ["train.jsonl", "test.jsonl"],
+    _write_manifest(args, stamp, ["train.jsonl", "test.jsonl"],
                     metrics={"n_train_bags": len(train), "n_test_bags": len(test)})
     return EXIT_OK
 
@@ -123,16 +121,12 @@ def cmd_gen_data(args) -> int:
 def _corpus_dims(bags, meta: dict) -> dict:
     """Each size the larger of the header's and the one the bags need."""
     found = corpus_stats(bags)
-    dims = {}
-    for key in ("vocab_size", "n_fget", "n_relations", "n_entities"):
-        declared = meta.get(key, 0)
-        if not _is_int(declared):
-            raise CorpusError(f"corpus header key {key!r} must be an integer, got {declared!r}")
-        dims[key] = max(declared, found[key])
-    return dims
+    keys = ("vocab_size", "n_fget", "n_relations", "n_entities")
+    jsonio.check_fields(meta, "corpus header", {}, dict.fromkeys(keys, jsonio.INT))
+    return {key: max(meta.get(key, 0), found[key]) for key in keys}
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, stamp: dict) -> int:
     bags = load_corpus(args.corpus)
     dims = _corpus_dims(bags, read_corpus_meta(args.corpus))
     if dims["n_relations"] < 1:
@@ -172,11 +166,11 @@ def cmd_train(args) -> int:
         "history": result.history,
     }
     outputs = [os.path.basename(p) for p in (checkpoint, data_path(checkpoint))]
-    _write_manifest(args.out, "train", args, outputs, metrics=metrics)
+    _write_manifest(args, stamp, outputs, metrics=metrics)
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, stamp: dict) -> int:
     model, _ = load_model(args.checkpoint)
     bags = load_corpus(args.corpus)
     pairs = score_bags(model, bags)
@@ -185,7 +179,7 @@ def cmd_eval(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "pr_curve.csv"), "w", newline="") as fh:
-        fh.write(_csv_comment(args) + "\n")
+        fh.write(_csv_comment(stamp) + "\n")
         writer = csv.writer(fh)
         writer.writerow(["recall", "precision"])
         for r, p in zip(curve.recalls, curve.precisions):
@@ -196,18 +190,15 @@ def cmd_eval(args) -> int:
         "shuffled_auc_04": shuffled,
         "n_pairs": len(pairs),
         "n_positive": sum(1 for p in pairs if p.label),
-        "seed": args.seed,
-        "config_hash": _config_hash(_run_options(args)),
+        **stamp,
     }
-    with open(os.path.join(args.out, "metrics.json"), "w") as fh:
-        json.dump(metrics, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    _write_manifest(args.out, "eval", args, ["pr_curve.csv", "metrics.json"],
+    jsonio.write_json(os.path.join(args.out, "metrics.json"), metrics)
+    _write_manifest(args, stamp, ["pr_curve.csv", "metrics.json"],
                     metrics={"auc_04": curve.auc_04, "shuffled_auc_04": shuffled})
     return EXIT_OK
 
 
-def cmd_explain(args) -> int:
+def cmd_explain(args, stamp: dict) -> int:
     model, _ = load_model(args.checkpoint)
     bags = load_corpus(args.corpus)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
@@ -218,15 +209,13 @@ def cmd_explain(args) -> int:
     scores = explain_corpus(model, bags, methods)
     os.makedirs(args.out, exist_ok=True)
     write_scores(os.path.join(args.out, "scores.jsonl"), scores,
-                 meta={"seed": args.seed,
-                       "config_hash": _config_hash(_run_options(args)),
-                       "methods": list(methods)})
-    _write_manifest(args.out, "explain", args, ["scores.jsonl"],
+                 meta={**stamp, "methods": list(methods)})
+    _write_manifest(args, stamp, ["scores.jsonl"],
                     metrics={"n_scores": len(scores)})
     return EXIT_OK
 
 
-def cmd_expl_eval(args) -> int:
+def cmd_expl_eval(args, stamp: dict) -> int:
     model, _ = load_model(args.checkpoint)
     bags = load_corpus(args.corpus)
     tuples = build_expl_eval(bags)
@@ -245,7 +234,7 @@ def cmd_expl_eval(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "kendall.csv"), "w", newline="") as fh:
-        fh.write(_csv_comment(args) + "\n")
+        fh.write(_csv_comment(stamp) + "\n")
         writer = csv.writer(fh)
         writer.writerow(["method", "bucket", "tau", "n_tuples"])
         for rep in reports:
@@ -255,13 +244,13 @@ def cmd_expl_eval(args) -> int:
             for bucket, tau, n in rows:
                 writer.writerow([rep.method, bucket,
                                  "nan" if math.isnan(tau) else repr(float(tau)), n])
-    _write_manifest(args.out, "expl-eval", args, ["kendall.csv"],
+    _write_manifest(args, stamp, ["kendall.csv"],
                     metrics={"n_tuples": len(tuples),
                              "methods": sorted(by_method)})
     return EXIT_OK
 
 
-def cmd_augment(args) -> int:
+def cmd_augment(args, stamp: dict) -> int:
     bags = load_corpus(args.corpus)
     index = build_index(bags)
     rng = np.random.default_rng(args.seed)
@@ -273,21 +262,16 @@ def cmd_augment(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     write_corpus(os.path.join(args.out, "augmented.jsonl"), augmented,
-                 meta={"seed": args.seed,
-                       "config_hash": _config_hash(_run_options(args)),
-                       "source": args.corpus})
-    _write_manifest(args.out, "augment", args, ["augmented.jsonl"],
+                 meta={**stamp, "source": args.corpus})
+    _write_manifest(args, stamp, ["augmented.jsonl"],
                     metrics={"n_augmented": len(augmented)})
     return EXIT_OK
 
 
-def cmd_avg(args) -> int:
+def cmd_avg(args, stamp: dict) -> int:
     paths = [p if p.endswith(".json") else os.path.join(p, "metrics.json")
              for p in args.runs]
-    runs = []
-    for p in paths:
-        with open(p) as fh:
-            runs.append(json.load(fh))
+    runs = [jsonio.read_object(p) for p in paths]
     shared = set(runs[0])
     for m in runs[1:]:
         shared &= set(m)
@@ -299,11 +283,9 @@ def cmd_avg(args) -> int:
             mean[key] = float(np.mean(values))
 
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "metrics.json"), "w") as fh:
-        json.dump({"n_runs": len(runs), "mean": mean, "sources": paths},
-                  fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    _write_manifest(args.out, "avg", args, ["metrics.json"],
+    jsonio.write_json(os.path.join(args.out, "metrics.json"),
+                      {"n_runs": len(runs), "mean": mean, "sources": paths})
+    _write_manifest(args, stamp, ["metrics.json"],
                     metrics={"n_runs": len(runs)})
     return EXIT_OK
 
@@ -402,11 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _stamp(args))
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"relexpl: missing input: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except (CorpusError, DistractorError, ValueError, KeyError) as exc:
+    except (DistractorError, ValueError, KeyError) as exc:
         print(f"relexpl: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

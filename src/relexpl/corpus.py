@@ -6,23 +6,24 @@ base assigns to that pair (which makes some sentences irrelevant to some
 labels; that mismatch is the whole point of the sentence-importance
 machinery built on top).
 
-File format: JSONL, one bag per line. An optional first line of the form
-{"_header": {...}} carries run metadata (seed, sizes, config hash) and is
-ignored by the loader. All ids are 0-based integers; mention spans are
-half-open [start, end) token index ranges.
+File format: JSONL (see jsonio), one bag per line. An optional first line
+of the form {"_header": {...}} carries run metadata (seed, sizes, config
+hash) and is skipped by the loader. All ids are 0-based integers;
+mention spans are half-open [start, end) token index ranges.
 """
 
 from __future__ import annotations
 
-import json
-import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+from . import jsonio
+
 
 class CorpusError(ValueError):
-    """Raised for malformed corpus files or invariant violations."""
+    """Raised for corpus invariant violations; jsonio raises ValueError for
+    a line that is not a well-formed bag object."""
 
 
 class ReprMode(Enum):
@@ -155,42 +156,21 @@ def _bag_to_json(bag: Bag) -> dict:
     }
 
 
-def _is_ints(v) -> bool:
-    return isinstance(v, list) and all(type(x) is int for x in v)  # JSON true is no id
-
-
-_ID = (lambda v: type(v) is int, "an integer")
-_IDS = (_is_ints, "a list of integers")
-_SPAN = (lambda v: _is_ints(v) and len(v) == 2, "a [start, end] integer pair")
-_FLAG = (lambda v: isinstance(v, bool), "a boolean")
-_LIST = (lambda v: isinstance(v, list), "a list")
 # field -> (check, what the field must be); validate_bag checks each token
-_BAG_FIELDS = {"entity_i": _ID, "entity_j": _ID, "fget_i": _ID, "fget_j": _ID,
-               "relations": _IDS, "sentences": _LIST}
-_SENTENCE_FIELDS = {"tokens": _LIST, "mention_i": _SPAN, "mention_j": _SPAN}
-_OPTIONAL_FIELDS = {"relevance_label": _FLAG, "rationale_for": _IDS, "distractor": _FLAG}
+_BAG_FIELDS = {"bag_id": jsonio.STR, "entity_i": jsonio.INT, "entity_j": jsonio.INT,
+               "fget_i": jsonio.INT, "fget_j": jsonio.INT, "relations": jsonio.INTS,
+               "sentences": jsonio.LIST}
+_SENTENCE_FIELDS = {"tokens": jsonio.LIST, "mention_i": jsonio.INT_PAIR,
+                    "mention_j": jsonio.INT_PAIR}
+_OPTIONAL_FIELDS = {"relevance_label": jsonio.BOOL, "rationale_for": jsonio.INTS,
+                    "distractor": jsonio.BOOL}
 
 
-def _check_fields(obj, fields: dict, where: str, required: bool = True):
-    """Raise CorpusError naming where and the field for a missing (if required) or mistyped field."""
-    if not isinstance(obj, dict):
-        raise CorpusError(f"{where}: must be a JSON object, got {reprlib.repr(obj)}")
-    for key, (ok, what) in fields.items():
-        if key not in obj:
-            if required:
-                raise CorpusError(f"{where}: missing field {key!r}")
-        elif not ok(obj[key]):
-            raise CorpusError(f"{where}: field {key!r} must be {what}, "
-                              f"got {reprlib.repr(obj[key])}")
-
-
-def _bag_from_json(obj: dict, bag_id: str) -> Bag:
-    where = f"bag {bag_id!r}"
-    _check_fields(obj, _BAG_FIELDS, where)
+def _bag_from_json(obj: dict, where: str) -> Bag:
+    jsonio.check_fields(obj, where, _BAG_FIELDS)
     sentences = []
     for idx, raw in enumerate(obj["sentences"]):
-        _check_fields(raw, _SENTENCE_FIELDS, f"{where} sentence {idx}")
-        _check_fields(raw, _OPTIONAL_FIELDS, f"{where} sentence {idx}", required=False)
+        jsonio.check_fields(raw, f"{where} sentence {idx}", _SENTENCE_FIELDS, _OPTIONAL_FIELDS)
         rationale = raw.get("rationale_for")
         sentences.append(Sentence(
             tokens=tuple(raw["tokens"]),
@@ -203,7 +183,7 @@ def _bag_from_json(obj: dict, bag_id: str) -> Bag:
             distractor=raw.get("distractor", False),
         ))
     bag = Bag(
-        bag_id=bag_id,
+        bag_id=obj["bag_id"],
         entity_i=obj["entity_i"],
         entity_j=obj["entity_j"],
         fget_i=obj["fget_i"],
@@ -216,55 +196,28 @@ def _bag_from_json(obj: dict, bag_id: str) -> Bag:
 
 
 def load_corpus(path: str) -> list[Bag]:
-    """Read and validate a JSONL corpus; header lines are skipped."""
+    """Read and validate a JSONL corpus; the header line is skipped."""
     bags: list[Bag] = []
     seen: set[str] = set()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise CorpusError(f"{path}:{lineno}: expected a JSON object")
-            if "_header" in obj:
-                continue
-            if "bag_id" not in obj:
-                raise CorpusError(f"{path}:{lineno}: missing bag_id")
-            bag_id = str(obj["bag_id"])
+    for where, obj in jsonio.read_rows(path):
+        bag_id = obj.get("bag_id")
+        if isinstance(bag_id, str):
+            where = f"{where}: bag {bag_id!r}"
             if bag_id in seen:
-                raise CorpusError(f"{path}:{lineno}: duplicate bag_id {bag_id!r}")
+                raise CorpusError(f"{where}: duplicate bag_id")
             seen.add(bag_id)
-            bags.append(_bag_from_json(obj, bag_id))
+        bags.append(_bag_from_json(obj, where))
     return bags
 
 
 def read_corpus_meta(path: str) -> dict:
     """Return the {"_header": ...} payload of a corpus file, or {}."""
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if isinstance(obj, dict) and "_header" in obj:
-                if not isinstance(obj["_header"], dict):
-                    raise CorpusError(f"{path}: the _header must be a JSON object")
-                return obj["_header"]
-            return {}
-    return {}
+    return jsonio.read_header(path)
 
 
 def write_corpus(path: str, bags: Sequence[Bag], meta: dict | None = None):
     """Write bags as JSONL, optionally preceded by a header line. Byte-stable."""
-    with open(path, "w") as fh:
-        if meta is not None:
-            fh.write(json.dumps({"_header": meta}, sort_keys=True) + "\n")
-        for bag in bags:
-            fh.write(json.dumps(_bag_to_json(bag), sort_keys=True) + "\n")
+    jsonio.write_jsonl(path, map(_bag_to_json, bags), header=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ encoding once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -68,15 +68,7 @@ class AugmentedBag:
 
     def to_bag(self) -> Bag:
         """The base bag with the distractor appended, for inspection output."""
-        return Bag(
-            bag_id=self.base.bag_id,
-            entity_i=self.base.entity_i,
-            entity_j=self.base.entity_j,
-            fget_i=self.base.fget_i,
-            fget_j=self.base.fget_j,
-            relations=self.base.relations,
-            sentences=self.base.sentences + (self.distractor,),
-        )
+        return replace(self.base, sentences=self.base.sentences + (self.distractor,))
 
 
 def build_index(bags: Sequence[Bag]) -> DistractorIndex:

@@ -25,13 +25,12 @@ tables and filter banks are trainable.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from . import kernels
+from . import jsonio, kernels
 from .autodiff import Tensor
 
 
@@ -72,40 +71,14 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
-        d = checked_fields(d, "encoder config", {
-            "vocab_size": int, "n_fget": int, "d_w": int, "d_p": int,
-            "pos_clip": int, "widths": list, "channels": int,
-        })
-        if not all(_is_int(w) for w in d["widths"]):
-            raise ValueError(
-                f"encoder config key 'widths' must be a list of ints, got {d['widths']!r}")
+        jsonio.check_fields(d, "encoder config", {
+            "vocab_size": jsonio.INT, "n_fget": jsonio.INT, "d_w": jsonio.INT,
+            "d_p": jsonio.INT, "pos_clip": jsonio.INT, "widths": jsonio.INTS,
+            "channels": jsonio.INT,
+        }, exact=True)
         cfg = cls(**{**d, "widths": tuple(d["widths"])})
         cfg.validate()
         return cfg
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def checked_fields(d, what: str, types: dict[str, type]) -> dict:
-    """d itself once it is an object with exactly the keys of `types`, each of its type.
-
-    Each fault (not an object, a missing or unknown key, an ill-typed
-    value) raises ValueError naming `what` and the key.
-    """
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
-    for key in d:
-        if key not in types:
-            raise ValueError(f"{what} has unknown key {key!r}")
-    for key, typ in types.items():
-        if key not in d:
-            raise ValueError(f"{what} is missing key {key!r}")
-        ok = _is_int(d[key]) if typ is int else isinstance(d[key], typ)
-        if not ok:
-            raise ValueError(f"{what} key {key!r} must be {typ.__name__}, got {d[key]!r}")
-    return d
 
 
 def checked_array(arrays: dict[str, np.ndarray], name: str,
@@ -169,8 +142,7 @@ class SentenceEncoder:
 
     def load_embeddings(self, path: str):
         """Substitute pretrained word vectors: JSON {token_id: [floats]}."""
-        with open(path) as fh:
-            vectors = json.load(fh)
+        vectors = jsonio.read_object(path)
         table = self.params["embed.tokens"].data
         for key, vec in vectors.items():
             idx = int(key)

@@ -28,18 +28,15 @@ pooling per sentence rather than a re-encoding of the bag per sentence.
 
 from __future__ import annotations
 
-import json
-import math
-import reprlib
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
+from . import jsonio
 from .autodiff import Tensor
 from .corpus import Bag
-from .encoder import _is_int
 from .models import BagForward, DirectSupModel, RelationModel
 
 METHODS = ("attention", "saliency", "gi", "loo")
@@ -178,55 +175,24 @@ def explain_corpus(model: RelationModel, bags: Sequence[Bag],
 
 
 def write_scores(path: str, scores: Sequence[ImportanceScores], meta: dict | None = None):
-    with open(path, "w") as fh:
-        if meta is not None:
-            fh.write(json.dumps({"_header": meta}, sort_keys=True) + "\n")
-        for s in scores:
-            fh.write(json.dumps(
-                {"bag_id": s.bag_id, "relation": s.relation, "method": s.method,
-                 "scores": list(s.scores)},
-                sort_keys=True, allow_nan=False,
-            ) + "\n")
+    jsonio.write_jsonl(path, ({"bag_id": s.bag_id, "relation": s.relation, "method": s.method,
+                               "scores": list(s.scores)} for s in scores), header=meta)
 
 
 # field -> (check, what the field must be)
-_ROW_FIELDS = {
-    "bag_id": (lambda v: isinstance(v, str), "a string"),
-    "relation": (_is_int, "an integer"),
-    "method": (lambda v: isinstance(v, str), "a string"),
-    "scores": (lambda v: isinstance(v, list) and all(
-        (_is_int(x) or isinstance(x, float)) and math.isfinite(x) for x in v),
-        "a list of finite numbers"),
-}
+_ROW_FIELDS = {"bag_id": jsonio.STR, "relation": jsonio.INT, "method": jsonio.STR,
+               "scores": jsonio.FINITE_NUMBERS}
 
 
 def load_scores(path: str) -> list[ImportanceScores]:
     """Read a scores file; a malformed row raises ValueError naming its line and field."""
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path} line {lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: not JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"{where}: a score row must be a JSON object")
-            if "_header" in obj:
-                continue
-            for name, (ok, what) in _ROW_FIELDS.items():
-                if name not in obj:
-                    raise ValueError(f"{where}: missing field {name!r}")
-                if not ok(obj[name]):
-                    raise ValueError(f"{where}: field {name!r} must be {what}, "
-                                     f"got {reprlib.repr(obj[name])}")
-            out.append(ImportanceScores(
-                bag_id=obj["bag_id"],
-                relation=obj["relation"],
-                method=obj["method"],
-                scores=tuple(float(v) for v in obj["scores"]),
-            ))
+    for where, obj in jsonio.read_rows(path):
+        jsonio.check_fields(obj, where, _ROW_FIELDS)
+        out.append(ImportanceScores(
+            bag_id=obj["bag_id"],
+            relation=obj["relation"],
+            method=obj["method"],
+            scores=tuple(float(v) for v in obj["scores"]),
+        ))
     return out

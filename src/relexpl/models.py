@@ -23,10 +23,10 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import optim
+from . import jsonio, optim
 from .autodiff import Tensor
 from .corpus import Bag, ReprMode, Sentence, apply_repr_mode
-from .encoder import EncoderConfig, SentenceEncoder, add_param, checked_fields
+from .encoder import EncoderConfig, SentenceEncoder, add_param
 
 BCE_EPS = 1e-12
 
@@ -66,14 +66,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = checked_fields(d, "model config", {
-            "kind": str, "n_relations": int, "encoder": dict, "repr_mode": str,
-            "fusion": bool, "d_e": int, "n_entities": int,
-        })
         modes = [m.value for m in ReprMode]
-        if d["repr_mode"] not in modes:
-            raise ValueError(f"model config key 'repr_mode' must be one of {modes}, "
-                             f"got {d['repr_mode']!r}")
+        jsonio.check_fields(d, "model config", {
+            "kind": jsonio.STR, "n_relations": jsonio.INT, "encoder": jsonio.OBJECT,
+            "repr_mode": (lambda v: v in modes, f"one of {modes}"), "fusion": jsonio.BOOL,
+            "d_e": jsonio.INT, "n_entities": jsonio.INT,
+        }, exact=True)
         cfg = cls(**{**d, "encoder": EncoderConfig.from_dict(d["encoder"]),
                      "repr_mode": ReprMode(d["repr_mode"])})
         cfg.validate()

@@ -26,8 +26,9 @@ import os
 
 import numpy as np
 
+from . import jsonio
 from .autodiff import Tensor
-from .encoder import checked_array, checked_fields
+from .encoder import checked_array
 
 CHECKPOINT_FORMAT = 3
 
@@ -155,8 +156,8 @@ def _read_v3(path: str, params: dict) -> dict[str, np.ndarray]:
     layout = []  # (name, shape, start, stop, sha256) in sorted-name order
     end = 0
     for name in sorted(params):
-        entry = checked_fields(params[name], f"parameter {name!r} entry",
-                               {"offset": int, "sha256": str, "shape": list})
+        entry = jsonio.check_fields(params[name], f"parameter {name!r} entry", {
+            "offset": jsonio.INT, "sha256": jsonio.STR, "shape": jsonio.LIST}, exact=True)
         shape = tuple(entry["shape"])
         if not all(type(n) is int and n >= 0 for n in shape):
             raise ValueError(f"parameter {name!r}: shape {entry['shape']} is not a list of sizes")
@@ -199,15 +200,12 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     raises ValueError naming the cause and the parameter; a missing data
     file raises FileNotFoundError naming the file.
     """
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"checkpoint must be a JSON object, got {type(payload).__name__}")
-    fmt = payload.get("format")
+    header = jsonio.read_object(path)
+    fmt = header.get("format")
     if not (type(fmt) is int and fmt == CHECKPOINT_FORMAT):
         raise ValueError(f"unsupported checkpoint format {fmt!r}, expected {CHECKPOINT_FORMAT}")
-    header = checked_fields(payload, "checkpoint header",
-                            {"extra": dict, "format": int, "params": dict})
+    jsonio.check_fields(header, "checkpoint header", {
+        "extra": jsonio.OBJECT, "format": jsonio.INT, "params": jsonio.OBJECT}, exact=True)
     return _read_v3(path, header["params"]), header["extra"]
 
 

@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import jsonio
 from .corpus import Bag, Sentence
-from .encoder import _is_int
 
 
 @dataclass(frozen=True)
@@ -82,26 +82,16 @@ class GenConfig:
         of two ints (JSON true is none of these). An unknown key or an
         ill-typed value raises ValueError naming the key.
         """
-        if not isinstance(d, dict):
-            raise ValueError(f"generator config must be a JSON object, got {type(d).__name__}")
-        for key, v in d.items():
-            if key not in _FIELD_CHECKS:
-                raise ValueError(f"generator config has unknown key {key!r}")
-            ok, what = _FIELD_CHECKS[key]
-            if not ok(v):
-                raise ValueError(f"generator config key {key!r} must be {what}, got {v!r}")
+        jsonio.check_fields(d, "generator config", {}, _FIELD_CHECKS, exact=True)
         cfg = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
         cfg.validate()
         return cfg
 
 
-_COUNT = (_is_int, "an int")
-_RATE = (lambda v: _is_int(v) or isinstance(v, float), "an int or a float")
-_RANGE = (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
-          "a list of two ints")
 # GenConfig field -> (check of its JSON value, what the value must be), chosen by
 # the field's annotation, a string under `from __future__ import annotations`
-_FIELD_CHECKS = {name: {"int": _COUNT, "float": _RATE, "tuple[int, int]": _RANGE}[f.type]
+_FIELD_CHECKS = {name: {"int": jsonio.INT, "float": jsonio.NUMBER,
+                        "tuple[int, int]": jsonio.INT_PAIR}[f.type]
                  for name, f in GenConfig.__dataclass_fields__.items()}
 
 

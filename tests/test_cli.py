@@ -318,8 +318,10 @@ class TestExplEval:
         ('{"bag_id": 7, "method": "gi", "relation": 0, "scores": [1.0]}', "bag_id"),
         ('{"bag_id": "b0", "relation": 0, "scores": [1.0]}', "method"),
         ('{"bag_id": "b0", "method": "gi"', "JSON"),
+        ('{"_header": {"seed": 0}}', "_header line must be the first non-blank line"),
     ], ids=["scores-int", "relation-null", "list-row", "scores-nan", "scores-inf",
-            "scores-str", "relation-bool", "bag-id-int", "method-missing", "truncated"])
+            "scores-str", "relation-bool", "bag-id-int", "method-missing", "truncated",
+            "late-header"])
     def test_bad_score_row_exits_3_naming_line_and_field(self, workspace, tmp_path,
                                                         capsys, row, field):
         scores = tmp_path / "scores.jsonl"
@@ -361,20 +363,20 @@ class TestMistypedInputs:
         assert f"generator config key {key!r} must be" in err
 
     @pytest.mark.parametrize("line,edit,cause", [
-        (1, lambda b: b.update(sentences=[5]), "sentence 0: must be a JSON object"),
-        (1, lambda b: b.update(sentences="abc"), "field 'sentences' must be a list"),
-        (1, lambda b: b.update(relations=[0.7]), "field 'relations' must be a list of integers"),
-        (1, lambda b: b.update(entity_i=True), "field 'entity_i' must be an integer"),
-        (1, lambda b: b.update(fget_j="1"), "field 'fget_j' must be an integer"),
+        (1, lambda b: b.update(sentences=[5]), "sentence 0 must be a JSON object"),
+        (1, lambda b: b.update(sentences="abc"), "key 'sentences' must be list"),
+        (1, lambda b: b.update(relations=[0.7]), "key 'relations' must be a list of ints"),
+        (1, lambda b: b.update(entity_i=True), "key 'entity_i' must be int"),
+        (1, lambda b: b.update(fget_j="1"), "key 'fget_j' must be int"),
         (1, lambda b: b["sentences"][0].update(relevance_label="yes"),
-         "sentence 0: field 'relevance_label' must be a boolean"),
+         "sentence 0 key 'relevance_label' must be bool"),
         (1, lambda b: b["sentences"][0].update(distractor=1),
-         "sentence 0: field 'distractor' must be a boolean"),
+         "sentence 0 key 'distractor' must be bool"),
         (1, lambda b: b["sentences"][0]["tokens"].__setitem__(0, True),
          "sentence 0: token ids must be nonnegative integers"),
         (0, lambda h: h["_header"].update(vocab_size=[3]),
-         "corpus header key 'vocab_size' must be an integer"),
-        (0, lambda h: h.update(_header=5), "the _header must be a JSON object"),
+         "corpus header key 'vocab_size' must be int"),
+        (0, lambda h: h.update(_header=5), "c.jsonl line 1 key '_header' must be dict"),
     ], ids=["sentence-int", "sentences-str", "relation-float", "entity-bool", "fget-str",
             "relevance-str", "distractor-int", "token-bool", "header-size-list", "header-int"])
     def test_train_corpus(self, workspace, tmp_path, capsys, line, edit, cause):
@@ -386,6 +388,15 @@ class TestMistypedInputs:
         assert cause in err
         if line:
             assert "bag 'tr00000'" in err
+
+    @pytest.mark.parametrize("bag_id", [["tr00000", "x"], 7], ids=["list", "int"])
+    def test_train_corpus_bag_id(self, workspace, tmp_path, capsys, bag_id):
+        corpus = _edited_corpus(workspace / "data" / "train.jsonl", tmp_path / "c.jsonl",
+                                1, lambda b: b.update(bag_id=bag_id))
+        assert main(["train", "--corpus", corpus, "--out", str(tmp_path / "run"),
+                     "--epochs", "1", *SMALL_ENCODER]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"c.jsonl line 2 key 'bag_id' must be str, got {bag_id!r}" in err
 
     @pytest.mark.parametrize("command", ["eval", "expl-eval"])
     def test_relation_the_model_lacks(self, workspace, tmp_path, capsys, command):
@@ -442,6 +453,17 @@ class TestAvg:
         assert got["mean"]["auc_04"] == 20.0
         assert got["mean"]["n_pairs"] == 40.0
         assert "note" not in got["mean"]
+
+    @pytest.mark.parametrize("text", ["5", "[1, 2]", '{"auc_04": 1.0'],
+                             ids=["number", "list", "truncated"])
+    def test_metrics_file_not_an_object_exits_3(self, tmp_path, capsys, text):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"auc_04": 1.0}))
+        bad.write_text(text)
+        assert main(["avg", "--runs", str(good), str(bad),
+                     "--out", str(tmp_path / "avg")]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "bad.json" in err and "JSON" in err and "Traceback" not in err
 
     def test_missing_run_exits_2(self, tmp_path):
         assert main(["avg", "--runs", str(tmp_path / "nope"),

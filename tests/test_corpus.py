@@ -76,7 +76,7 @@ class TestValidation:
     def test_malformed_line_reports_line_number(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text('{"bag_id": "ok"\n')
-        with pytest.raises(CorpusError, match=":1:"):
+        with pytest.raises(ValueError, match="c.jsonl line 1: malformed JSON"):
             load_corpus(str(p))
 
     def test_out_of_bounds_span_names_bag(self, tmp_path):
@@ -111,6 +111,16 @@ class TestValidation:
         open(path, "w").write(text)
         with pytest.raises(CorpusError, match="rationale_for"):
             load_corpus(path)
+
+    def test_header_after_the_first_line_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_corpus(str(path), [make_bag("b0"), make_bag("b1"), make_bag("b2")],
+                     meta={"seed": 3})
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3][:-1] + ', "_header": {"seed": 3}}'
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="c.jsonl line 4: a _header line must be the first"):
+            load_corpus(str(path))
 
     def test_sentence_fget_must_match_bag(self):
         from relexpl.corpus import validate_bag

@@ -1,4 +1,5 @@
-"""Every library definition is reached from the command line, or allowlisted.
+"""Every library definition is reached from the command line, or allowlisted;
+and every JSON read goes through the format module.
 
 The scan reads src/relexpl/*.py with ast and imports nothing from the
 package. It starts from cli.main_entry, cli.main and every module's
@@ -8,6 +9,10 @@ name: a function, a class (its class-level statements and dunder methods)
 or a method. It repeats until nothing new is reached. Being name-based it
 may miss dead code that shares a name with live code, but it never flags
 live code.
+
+A second scan finds each use of json.load or json.loads, as an attribute
+of the json module or imported from it: only jsonio.py, whose reader runs
+every file through the field checker, may hold one.
 """
 
 import ast
@@ -107,3 +112,42 @@ def test_scan_flags_what_no_route_reaches(tmp_path):
     every, dead = scan(str(tmp_path))
     assert "lib.Box.helper" in every - dead  # reached by name through cli.helper
     assert dead == {"lib.Box", "lib.Box.unused", "lib.orphan"}
+
+
+JSON_READERS = {"load", "loads"}
+FORMAT_MODULE = "jsonio.py"
+
+
+def json_reads(src=SRC):
+    """["file:line"] of each json.load/json.loads use outside the format module."""
+    out = []
+    for fname in sorted(os.listdir(src)):
+        if not fname.endswith(".py") or fname == FORMAT_MODULE:
+            continue
+        with open(os.path.join(src, fname)) as fh:
+            tree = ast.parse(fh.read(), filename=fname)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                hit = (node.attr in JSON_READERS and isinstance(node.value, ast.Name)
+                       and node.value.id == "json")
+            elif isinstance(node, ast.ImportFrom):
+                hit = node.module == "json" and any(a.name in JSON_READERS for a in node.names)
+            else:
+                continue
+            if hit:
+                out.append(f"{fname}:{node.lineno}")
+    return out
+
+
+def test_every_json_read_is_in_the_format_module():
+    stray = json_reads()
+    assert not stray, f"JSON read outside {FORMAT_MODULE}; use its readers: {stray}"
+
+
+def test_json_scan_flags_reads_outside_the_format_module(tmp_path):
+    (tmp_path / FORMAT_MODULE).write_text("import json\n\n\ndef read(t):\n    return json.loads(t)\n")
+    (tmp_path / "cfg.py").write_text(
+        "import json\n\n\ndef load(fh):\n    return json.load(fh)\n\n\n"
+        "def dump(obj):\n    return json.dumps(obj)\n")
+    (tmp_path / "rows.py").write_text("from json import dumps, loads\n")
+    assert json_reads(str(tmp_path)) == ["cfg.py:5", "rows.py:1"]
