@@ -100,21 +100,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __repr__(self):
         return f"Tensor(op={self._op}, shape={self.shape})"
 
@@ -339,11 +324,11 @@ def rows_max(m) -> Tensor:
     return _node(vals, (m,), lambda g: (put(g, index, shape),), "rows_max")
 
 
-def softmax(a, axis: int = 0) -> Tensor:
+def softmax(a) -> Tensor:
     """Softmax along the sentence axis: 1-d vectors, or axis 0 of a 2-d matrix."""
     a = _as_tensor(a)
-    if a.size == 0 or a.ndim not in (1, 2) or axis != 0:
-        raise ShapeMismatchError("softmax", a.shape, (axis,))
+    if a.size == 0 or a.ndim not in (1, 2):
+        raise ShapeMismatchError("softmax", a.shape, (0,))
     e = np.exp(a.data - a.data.max(axis=0, keepdims=True))
     node = _node(e / e.sum(axis=0, keepdims=True), (a,), None, "softmax")
     ref = weakref.ref(node)

@@ -259,9 +259,8 @@ def fget_token_id(fget: int, vocab_size: int) -> int:
     return vocab_size + fget
 
 
-def apply_repr_mode(sentence: Sentence, mode: ReprMode,
-                    vocab_size: int | None = None,
-                    n_fget: int | None = None) -> tuple[tuple[int, ...], tuple[int, int], tuple[int, int]]:
+def apply_repr_mode(sentence: Sentence, mode: ReprMode, vocab_size: int, n_fget: int
+                    ) -> tuple[tuple[int, ...], tuple[int, int], tuple[int, int]]:
     """Produce the encoder-facing token sequence and recomputed mention spans.
 
     RAW leaves the sentence untouched. FGET replaces each mention span with
@@ -271,8 +270,6 @@ def apply_repr_mode(sentence: Sentence, mode: ReprMode,
     """
     if mode is ReprMode.RAW:
         return sentence.tokens, sentence.mention_i, sentence.mention_j
-    if vocab_size is None or n_fget is None:
-        raise ValueError("vocab_size and n_fget are required for FGET modes")
     for fget in (sentence.fget_i, sentence.fget_j):
         if not (0 <= fget < n_fget):
             raise CorpusError(f"unknown FGET type {fget} (inventory size {n_fget})")

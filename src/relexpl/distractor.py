@@ -169,11 +169,9 @@ def augmented_bag_loss(model: RelationModel, aug: AugmentedBag, gamma: float,
 
 
 def combined_loss(base_loss: Tensor, distractor_terms: Sequence[Tensor], lam: float) -> Tensor:
-    """base + lam * sum of distractor terms; lam = 0 short-circuits exactly."""
+    """base + lam * sum of one or more distractor terms."""
     if lam < 0:
         raise ValueError(f"distractor weight must be nonnegative, got {lam}")
-    if lam == 0.0 or not distractor_terms:
-        return base_loss
     total = distractor_terms[0]
     for t in distractor_terms[1:]:
         total = ad.add(total, t)

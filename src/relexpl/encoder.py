@@ -136,10 +136,6 @@ class SentenceEncoder:
             add_param(self.params, init, f"enc.w{w}.filters", (w * d_in, cfg.channels))
             add_param(self.params, init, f"enc.w{w}.bias", (cfg.channels,), zeros=True)
 
-    @property
-    def out_dim(self) -> int:
-        return self.cfg.out_dim
-
     def load_embeddings(self, path: str):
         """Substitute pretrained word vectors: JSON {token_id: [floats]}."""
         vectors = jsonio.read_object(path)

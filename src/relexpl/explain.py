@@ -37,7 +37,7 @@ from . import autodiff as ad
 from . import jsonio
 from .autodiff import Tensor
 from .corpus import Bag
-from .models import BagForward, DirectSupModel, RelationModel
+from .models import KIND_DIRECTSUP, BagForward, RelationModel
 
 METHODS = ("attention", "saliency", "gi", "loo")
 
@@ -131,7 +131,7 @@ def leave_one_out(model: RelationModel, bag: Bag, k: int,
 def attention_explanation(model: RelationModel, bag: Bag, k: int,
                           fwd: BagForward | None = None) -> np.ndarray:
     alphas = _shared_forward(model, bag, k, fwd).alphas
-    if isinstance(model, DirectSupModel):
+    if model.cfg.kind == KIND_DIRECTSUP:
         return alphas.data.copy()  # relation-independent weights
     return alphas.data[:, k].copy()
 
@@ -185,10 +185,16 @@ _ROW_FIELDS = {"bag_id": jsonio.STR, "relation": jsonio.INT, "method": jsonio.ST
 
 
 def load_scores(path: str) -> list[ImportanceScores]:
-    """Read a scores file; a malformed row raises ValueError naming its line and field."""
+    """Read a scores file; a malformed row, or a second row for one (bag_id,
+    relation, method), raises ValueError naming its line."""
     out = []
+    seen: set[tuple[str, int, str]] = set()
     for where, obj in jsonio.read_rows(path):
         jsonio.check_fields(obj, where, _ROW_FIELDS)
+        key = (obj["bag_id"], obj["relation"], obj["method"])
+        if key in seen:
+            raise ValueError(f"{where}: duplicate (bag_id, relation, method) row {key}")
+        seen.add(key)
         out.append(ImportanceScores(
             bag_id=obj["bag_id"],
             relation=obj["relation"],

@@ -1,18 +1,20 @@
 """Bag-level relation models: sentence weighting, bag pooling, prediction.
 
-Two sentence-importance mechanisms are implemented:
+One model class serves both sentence-importance mechanisms; cfg.kind picks
+the weighting and the pooling, and nothing else:
 
-  * DirectSupModel: a sentence-level relevance classifier produces one
-    weight per sentence; the bag representation is the elementwise max of
-    the weighted encodings (relation-independent).
-  * CnnsAttModel: per-relation attention; the bag representation for
-    relation k is the attention-weighted sum of encodings.
+  * directsup: a sentence-level relevance classifier produces one sigmoid
+    weight per sentence; the bag representation is one row, the
+    elementwise max of the weighted encodings (relation-independent).
+  * cnns-att: per-relation attention; row k of the bag representation is
+    the attention-weighted sum of encodings for relation k.
 
-Both score relation k as a sigmoid over bag_rep . r_k + b_k, trained with
-a multi-label binary cross entropy over every (bag, relation) pair.
-Optional entity fusion concatenates the bag representation with the
-difference and elementwise product of two frozen entity embeddings, then
-projects back to R^d with a ReLU.
+Both kinds share one head: it scores relation k as a sigmoid over
+rep_k . r_k + b_k, one row serving every relation for directsup, trained
+with a multi-label binary cross entropy over every (bag, relation) pair.
+Optional entity fusion concatenates each bag row with the difference and
+elementwise product of two frozen entity embeddings, then projects back to
+R^d with a ReLU.
 """
 
 from __future__ import annotations
@@ -85,7 +87,8 @@ class BagForward:
     X is the (N, d) stack of sentence encodings (None for an empty
     selection); alphas holds the sentence weights ((N,) for the relevance
     classifier, (N, K) attention columns otherwise); reps the pre-fusion
-    bag representation ((d,) or (K, d)); logits the (K,) tensor of o_k;
+    bag rows ((1, d) for the relevance classifier, whose one row serves
+    every relation; (K, d) otherwise); logits the (K,) tensor of o_k;
     probs its sigmoid as a plain array. memo holds what explanations derive
     from this forward, so that each is computed once per bag (see explain).
     """
@@ -99,7 +102,7 @@ class BagForward:
 
 
 class RelationModel:
-    """Shared machinery: encoding, fusion, prediction, loss."""
+    """A bag relation model; cfg.kind picks the sentence weighting and pooling."""
 
     def __init__(self, cfg: ModelConfig, seed: int | None = None,
                  arrays: dict[str, np.ndarray] | None = None):
@@ -123,13 +126,15 @@ class RelationModel:
             add_param(self.params, init, "fuse.bias", (d,), zeros=True)
         add_param(self.params, init, "head.rel", (cfg.n_relations, d))
         add_param(self.params, init, "head.bias", (cfg.n_relations,), zeros=True)
-        self._init_specific(init, d)
+        if cfg.kind == KIND_DIRECTSUP:
+            add_param(self.params, init, "rel.w", (d,))
+            add_param(self.params, init, "rel.b", (), zeros=True)
+        else:
+            add_param(self.params, init, "att.query", (cfg.n_relations, d))
+            add_param(self.params, init, "att.diag", (d,))
         if arrays is not None and len(arrays) != len(self.params):
             raise ValueError("checkpoint has parameters the model does not: "
                              f"{sorted(set(arrays) - set(self.params))}")
-
-    def _init_specific(self, init: np.random.Generator | dict[str, np.ndarray], d: int):
-        raise NotImplementedError
 
     # -- encoding -----------------------------------------------------------
 
@@ -143,33 +148,7 @@ class RelationModel:
                             n_fget=cfg.encoder.n_fget)
             for s in sentences])
 
-    # -- fusion -------------------------------------------------------------
-
-    def _entity_vec(self, entity: int) -> Tensor:
-        table = self.params["fuse.entities"]
-        if not 0 <= entity < table.shape[0]:
-            raise ValueError(f"entity id {entity} has no embedding row")
-        return ad.take(table, entity)
-
-    def _fuse_vec(self, rep: Tensor, entity_i: int, entity_j: int) -> Tensor:
-        vi = self._entity_vec(entity_i)
-        vj = self._entity_vec(entity_j)
-        z = ad.concat([rep, ad.sub(vi, vj), ad.mul(vi, vj)])
-        return ad.relu(ad.add(ad.matmul(ad.transpose(self.params["fuse.proj"]), z),
-                              self.params["fuse.bias"]))
-
-    def _fuse_rows(self, reps: Tensor, entity_i: int, entity_j: int) -> Tensor:
-        shape = (reps.shape[0], self.cfg.d_e)
-        vi = self._entity_vec(entity_i)
-        vj = self._entity_vec(entity_j)
-        z = ad.concat([
-            reps,
-            ad.broadcast_to(ad.sub(vi, vj), shape),
-            ad.broadcast_to(ad.mul(vi, vj), shape),
-        ], axis=1)
-        return ad.relu(ad.add(ad.matmul(z, self.params["fuse.proj"]), self.params["fuse.bias"]))
-
-    # -- forward ------------------------------------------------------------
+    # -- pooling and prediction ---------------------------------------------
 
     def _bag_logits(self, X: Tensor, entity_i: int, entity_j: int) -> tuple[Tensor, Tensor, Tensor]:
         """Return (alphas, pre-fusion reps, logits) for a nonempty encoding stack.
@@ -178,16 +157,35 @@ class RelationModel:
         rows of a cached stack re-pools to exactly the logits of a fresh
         forward over those sentences; leave-one-out explanations rely on it.
         """
-        raise NotImplementedError
+        p = self.params
+        if self.cfg.kind == KIND_DIRECTSUP:
+            alphas = ad.sigmoid(ad.add(ad.matmul(X, p["rel.w"]), p["rel.b"]))
+            rep = ad.rows_max(ad.mul(X, ad.reshape(alphas, (X.shape[0], 1))))
+            reps = ad.reshape(rep, (1, X.shape[1]))
+        else:  # column k of alphas is the softmax over sentences for relation k
+            alphas = ad.softmax(ad.matmul(X, ad.transpose(ad.mul(p["att.query"], p["att.diag"]))))
+            reps = ad.transpose(ad.matmul(ad.transpose(X), alphas))  # row k = rep for k
+        return alphas, reps, self._head(reps, entity_i, entity_j)
+
+    def _head(self, reps: Tensor, entity_i: int, entity_j: int) -> Tensor:
+        """(K,) logits from (R, d) bag rows, R = K or 1; one row serves every relation."""
+        p = self.params
+        if self.cfg.fusion:
+            table = p["fuse.entities"]
+            for entity in (entity_i, entity_j):
+                if not 0 <= entity < table.shape[0]:
+                    raise ValueError(f"entity id {entity} has no embedding row")
+            vi, vj = ad.take(table, entity_i), ad.take(table, entity_j)
+            shape = (reps.shape[0], self.cfg.d_e)
+            z = ad.concat([reps, ad.broadcast_to(ad.sub(vi, vj), shape),
+                           ad.broadcast_to(ad.mul(vi, vj), shape)], axis=1)
+            reps = ad.relu(ad.add(ad.matmul(z, p["fuse.proj"]), p["fuse.bias"]))
+        return ad.add(ad.reduce_sum(ad.mul(reps, p["head.rel"]), 1), p["head.bias"])
 
     def _empty_logits(self, entity_i: int, entity_j: int) -> Tensor:
-        """Logits for an empty sentence selection: the bag representation is
-        the zero vector (fusion still applies when enabled). Leave-one-out
-        scores a singleton bag's only sentence against these."""
-        rep = Tensor(np.zeros(self.cfg.encoder.out_dim))
-        if self.cfg.fusion:
-            rep = self._fuse_vec(rep, entity_i, entity_j)
-        return ad.add(ad.matmul(self.params["head.rel"], rep), self.params["head.bias"])
+        """Logits for an empty sentence selection: the head over one zero row.
+        Leave-one-out scores a singleton bag's only sentence against these."""
+        return self._head(Tensor(np.zeros((1, self.cfg.encoder.out_dim))), entity_i, entity_j)
 
     def forward_sentences(self, sentences: Sequence[Sentence],
                           entity_i: int, entity_j: int) -> BagForward:
@@ -231,53 +229,8 @@ class RelationModel:
         optim.save_checkpoint(path, self.params, extra=meta)
 
 
-class DirectSupModel(RelationModel):
-    """Relevance-classifier weighting with max pooling over weighted encodings."""
-
-    def _init_specific(self, init: np.random.Generator | dict[str, np.ndarray], d: int):
-        add_param(self.params, init, "rel.w", (d,))
-        add_param(self.params, init, "rel.b", (), zeros=True)
-
-    def relevance_alphas(self, X: Tensor) -> Tensor:
-        scores = ad.add(ad.matmul(X, self.params["rel.w"]), self.params["rel.b"])
-        return ad.sigmoid(scores)
-
-    def _bag_logits(self, X: Tensor, entity_i: int, entity_j: int) -> tuple[Tensor, Tensor, Tensor]:
-        alphas = self.relevance_alphas(X)
-        rep = ad.rows_max(ad.mul(X, ad.reshape(alphas, (X.shape[0], 1))))
-        fused = self._fuse_vec(rep, entity_i, entity_j) if self.cfg.fusion else rep
-        logits = ad.add(ad.matmul(self.params["head.rel"], fused), self.params["head.bias"])
-        return alphas, rep, logits
-
-
-class CnnsAttModel(RelationModel):
-    """Per-relation attention over sentence encodings."""
-
-    def _init_specific(self, init: np.random.Generator | dict[str, np.ndarray], d: int):
-        add_param(self.params, init, "att.query", (self.cfg.n_relations, d))
-        add_param(self.params, init, "att.diag", (d,))
-
-    def attention_alphas(self, X: Tensor) -> Tensor:
-        """(N, K): column k is the softmax over sentences for relation k."""
-        keys = ad.mul(self.params["att.query"], self.params["att.diag"])
-        scores = ad.matmul(X, ad.transpose(keys))
-        return ad.softmax(scores, axis=0)
-
-    def _bag_logits(self, X: Tensor, entity_i: int, entity_j: int) -> tuple[Tensor, Tensor, Tensor]:
-        alphas = self.attention_alphas(X)
-        reps = ad.transpose(ad.matmul(ad.transpose(X), alphas))  # (K, d), row k = rep for k
-        fused = self._fuse_rows(reps, entity_i, entity_j) if self.cfg.fusion else reps
-        logits = ad.add(ad.reduce_sum(ad.mul(fused, self.params["head.rel"]), 1),
-                        self.params["head.bias"])
-        return alphas, reps, logits
-
-
-_MODELS = {KIND_DIRECTSUP: DirectSupModel, KIND_CNNS_ATT: CnnsAttModel}
-
-
 def build_model(cfg: ModelConfig, seed: int) -> RelationModel:
-    cfg.validate()
-    return _MODELS[cfg.kind](cfg, seed)
+    return RelationModel(cfg, seed)
 
 
 def load_model(path: str) -> tuple[RelationModel, dict]:
@@ -290,7 +243,7 @@ def load_model(path: str) -> tuple[RelationModel, dict]:
     if "config" not in extra:
         raise ValueError(f"checkpoint {path} has no model 'config' in its extra block")
     cfg = ModelConfig.from_dict(extra["config"])
-    return _MODELS[cfg.kind](cfg, arrays=arrays), extra
+    return RelationModel(cfg, arrays=arrays), extra
 
 
 # ---------------------------------------------------------------------------

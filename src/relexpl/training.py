@@ -27,7 +27,7 @@ from . import autodiff as ad
 from .corpus import Bag
 from .distractor import AugmentedBag, augmented_bag_loss, build_index, combined_loss, sample_distractor
 from .evaluation import pr_auc, score_bags
-from .models import DirectSupModel, RelationModel, bce_loss, label_vector, relevance_loss
+from .models import KIND_DIRECTSUP, RelationModel, bce_loss, label_vector, relevance_loss
 from .optim import Adam, restore_params
 
 
@@ -77,7 +77,7 @@ def train_model(model: RelationModel, bags: Sequence[Bag], cfg: TrainConfig) -> 
     cfg.validate()
     if not bags:
         raise ValueError("cannot train on an empty corpus")
-    if isinstance(model, DirectSupModel):
+    if model.cfg.kind == KIND_DIRECTSUP:
         for bag in bags:
             for s in bag.sentences:
                 if s.relevance_label is None:
@@ -132,7 +132,7 @@ def train_model(model: RelationModel, bags: Sequence[Bag], cfg: TrainConfig) -> 
             bag = train_bags[i]
             fwd = model.forward_bag(bag)
             loss = bce_loss(fwd.logits, label_vector(bag, K))
-            if isinstance(model, DirectSupModel):
+            if model.cfg.kind == KIND_DIRECTSUP:
                 loss = ad.add(loss, relevance_loss(
                     fwd.alphas, [s.relevance_label for s in bag.sentences]))
             if use_ld and i in augments:

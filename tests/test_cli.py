@@ -319,9 +319,10 @@ class TestExplEval:
         ('{"bag_id": "b0", "relation": 0, "scores": [1.0]}', "method"),
         ('{"bag_id": "b0", "method": "gi"', "JSON"),
         ('{"_header": {"seed": 0}}', "_header line must be the first non-blank line"),
+        (GOOD_ROW, "duplicate (bag_id, relation, method)"),
     ], ids=["scores-int", "relation-null", "list-row", "scores-nan", "scores-inf",
             "scores-str", "relation-bool", "bag-id-int", "method-missing", "truncated",
-            "late-header"])
+            "late-header", "repeated-row"])
     def test_bad_score_row_exits_3_naming_line_and_field(self, workspace, tmp_path,
                                                         capsys, row, field):
         scores = tmp_path / "scores.jsonl"

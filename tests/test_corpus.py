@@ -136,7 +136,7 @@ class TestReprMode:
 
     def test_raw_is_identity(self):
         s = self.sentence()
-        tokens, mi, mj = apply_repr_mode(s, ReprMode.RAW)
+        tokens, mi, mj = apply_repr_mode(s, ReprMode.RAW, vocab_size=200, n_fget=4)
         assert tokens == s.tokens and mi == s.mention_i and mj == s.mention_j
 
     def test_fget_substitution(self):
@@ -177,10 +177,6 @@ class TestReprMode:
         s = self.sentence()
         with pytest.raises(CorpusError, match="unknown FGET"):
             apply_repr_mode(s, ReprMode.FGET, vocab_size=200, n_fget=2)
-
-    def test_fget_modes_require_sizes(self):
-        with pytest.raises(ValueError, match="vocab_size"):
-            apply_repr_mode(self.sentence(), ReprMode.FGET)
 
 
 @st.composite

@@ -118,7 +118,7 @@ class TestBatchInvariance:
     def test_each_row_equals_the_sentence_alone(self, name, items):
         enc = ENCODERS[name]
         X = enc.encode(items).data
-        assert X.shape == (len(items), enc.out_dim)
+        assert X.shape == (len(items), enc.cfg.out_dim)
         for i, item in enumerate(items):
             alone = enc.encode([item]).data
             assert np.array_equal(X[i], alone[0])
@@ -141,7 +141,7 @@ class TestBatchInvariance:
         enc = make_encoder(seed=4)
         items = [([3, 9, 1, 12, 5], (0, 1), (4, 5)), ([7], (0, 1), (0, 1)),
                  ([2, 4, 6], (1, 3), (0, 1))]
-        weights = np.random.default_rng(6).normal(size=(3, enc.out_dim))
+        weights = np.random.default_rng(6).normal(size=(3, enc.cfg.out_dim))
         trainable = {n: p for n, p in enc.params.items() if p.requires_grad}
         check_param_grads(lambda: ad.reduce_sum(ad.mul(enc.encode(items), ad.Tensor(weights))),
                           trainable)
@@ -155,7 +155,7 @@ class TestEncodeContract:
     def test_output_shape_and_nonnegative(self):
         enc = make_encoder()
         x = enc.encode([([1, 2, 3, 4, 5], (1, 2), (3, 4))])
-        assert x.shape == (1, enc.out_dim) == (1, 6)
+        assert x.shape == (1, enc.cfg.out_dim) == (1, 6)
         assert np.all(x.data >= 0.0)
 
     def test_length_one_sentence_still_encodes(self):
@@ -202,7 +202,7 @@ class TestEncoderGradients:
     def test_all_trainable_params_match_finite_differences(self):
         enc = make_encoder(seed=1)
         tokens, mi, mj = [3, 9, 1, 12, 5], (1, 2), (3, 4)
-        weights = np.random.default_rng(2).normal(size=enc.out_dim)
+        weights = np.random.default_rng(2).normal(size=enc.cfg.out_dim)
 
         def forward():
             return ad.reduce_sum(ad.mul(enc.encode([(tokens, mi, mj)]), weights))
@@ -249,7 +249,7 @@ class TestEncoderNode:
         enc = SentenceEncoder(cfg, np.random.default_rng(7))
         rng = np.random.default_rng(8)
         items = _bag(rng, 6, 30)
-        weights = ad.Tensor(rng.normal(size=(len(items), enc.out_dim)))
+        weights = ad.Tensor(rng.normal(size=(len(items), enc.cfg.out_dim)))
 
         def loss():
             return ad.reduce_sum(ad.mul(enc.encode(items), weights))
@@ -284,7 +284,7 @@ class TestEncoderNode:
         enc.params["embed.tokens"].requires_grad = True
         items = [([3, 9, 1, 12, 5], (0, 1), (4, 5)), ([31], (0, 1), (0, 1)),
                  ([2, 4, 2], (1, 3), (0, 1))]
-        weights = np.random.default_rng(3).normal(size=(3, enc.out_dim))
+        weights = np.random.default_rng(3).normal(size=(3, enc.cfg.out_dim))
         check_param_grads(lambda: ad.reduce_sum(ad.mul(enc.encode(items), ad.Tensor(weights))),
                           enc.params)
 

@@ -22,7 +22,7 @@ from relexpl.evaluation import (
     score_bags,
     shuffled_baseline_auc,
 )
-from relexpl.models import CnnsAttModel, ModelConfig
+from relexpl.models import ModelConfig, RelationModel
 
 from conftest import predict_k
 
@@ -245,7 +245,7 @@ class TestModelScoring:
                                   pos_clip=4, widths=(2,), channels=2),
             repr_mode=ReprMode.RAW, fusion=False, d_e=4, n_entities=0,
         )
-        model = CnnsAttModel(cfg, seed=0)
+        model = RelationModel(cfg, seed=0)
         rng = np.random.default_rng(6)
 
         def mk_bag(bid, relations):

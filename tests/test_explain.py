@@ -27,15 +27,14 @@ from relexpl.explain import (
     saliency,
     write_scores,
 )
-from relexpl.models import (
-    BagForward,
-    CnnsAttModel,
-    DirectSupModel,
-    ModelConfig,
-    RelationModel,
-)
+from relexpl.models import BagForward, ModelConfig, RelationModel
 
 from conftest import predict_k
+
+# Test ids keep the names of the classes each kind once had, so that every
+# test's history carries over to the one model class.
+CLASS_NAMES = {"directsup": "DirectSupModel", "cnns-att": "CnnsAttModel"}
+KINDS = [pytest.param(kind, id=f"{name}-{kind}") for kind, name in CLASS_NAMES.items()]
 
 
 def model_cfg(kind="cnns-att", K=2, fusion=False, n_entities=0,
@@ -73,7 +72,7 @@ class TestAnalyticLinearHead:
     Saliency and gradient-times-input then have closed forms."""
 
     def linear_model(self):
-        model = CnnsAttModel(model_cfg(), seed=0)  # encoder out_dim = 3
+        model = RelationModel(model_cfg(), seed=0)  # encoder out_dim = 3
         model.params["head.rel"].data[0] = [1.0, -2.0, 3.0]
         model.params["head.rel"].data[1] = [0.5, 0.0, -1.0]
         return model
@@ -146,16 +145,14 @@ class TestFiniteDifferenceOracle:
     """Saliency and GI against central differences of o_k w.r.t. the
     post-encoder sentence encodings, on untouched random models."""
 
-    @pytest.mark.parametrize("kind,cls,fusion", [
-        ("directsup", DirectSupModel, False),
-        ("cnns-att", CnnsAttModel, False),
-        ("directsup", DirectSupModel, True),
-        ("cnns-att", CnnsAttModel, True),
+    @pytest.mark.parametrize("kind,fusion", [
+        pytest.param(kind, fusion, id=f"{kind}-{name}-{fusion}")
+        for fusion in (False, True) for kind, name in CLASS_NAMES.items()
     ])
-    def test_matches_fd_through_bag_pooling(self, kind, cls, fusion):
+    def test_matches_fd_through_bag_pooling(self, kind, fusion):
         cfg = model_cfg(kind=kind, K=3, fusion=fusion,
                         n_entities=4 if fusion else 0, widths=(2, 3), channels=2)
-        model = cls(cfg, seed=7)
+        model = RelationModel(cfg, seed=7)
         bag = make_bag(n_sent=4, relations=frozenset({0, 2}), seed=3)
         X0 = model.encode_bag(bag.sentences).data.copy()
 
@@ -190,8 +187,8 @@ class TestFiniteDifferenceOracle:
 class TestLeaveOneOut:
     def test_equals_fresh_bag_oracle_exactly(self):
         # independent route: rebuild a bag object without sentence n
-        for cls, kind in ((DirectSupModel, "directsup"), (CnnsAttModel, "cnns-att")):
-            model = cls(model_cfg(kind=kind, K=2, widths=(2, 3), channels=2), seed=1)
+        for kind in CLASS_NAMES:
+            model = RelationModel(model_cfg(kind=kind, K=2, widths=(2, 3), channels=2), seed=1)
             bag = make_bag(n_sent=4, seed=5)
             o_full = predict_k(model, bag, 1)[1]
             scores = leave_one_out(model, bag, 1)
@@ -205,14 +202,14 @@ class TestLeaveOneOut:
                 assert scores[n] == o_full - o_minus
 
     def test_duplicate_sentence_scores_zero_under_max_pooling(self):
-        model = DirectSupModel(model_cfg(kind="directsup"), seed=0)
+        model = RelationModel(model_cfg(kind="directsup"), seed=0)
         s = make_sentence([1, 2, 3, 4, 5, 6])
         bag = Bag("b", 0, 1, 0, 1, frozenset({0}), (s, s))
         np.testing.assert_array_equal(leave_one_out(model, bag, 0), [0.0, 0.0])
 
     def test_singleton_bag_without_fusion(self):
         # empty selection scores b_k, so the score is o_k - b_k
-        model = CnnsAttModel(model_cfg(), seed=2)
+        model = RelationModel(model_cfg(), seed=2)
         model.params["head.bias"].data[...] = [0.3, -0.7]
         bag = make_bag(n_sent=1)
         for k in (0, 1):
@@ -222,7 +219,7 @@ class TestLeaveOneOut:
 
     def test_singleton_bag_with_fusion_numpy_oracle(self):
         # empty selection: zero representation still passes through fusion
-        model = CnnsAttModel(model_cfg(fusion=True, n_entities=4), seed=2)
+        model = RelationModel(model_cfg(fusion=True, n_entities=4), seed=2)
         bag = make_bag(n_sent=1)
         d = model.cfg.encoder.out_dim
         vi = model.params["fuse.entities"].data[bag.entity_i]
@@ -239,7 +236,7 @@ class TestLeaveOneOut:
 
 class TestAttentionExplanation:
     def test_attention_column_sums_to_one(self):
-        model = CnnsAttModel(model_cfg(K=3), seed=4)
+        model = RelationModel(model_cfg(K=3), seed=4)
         bag = make_bag(n_sent=5)
         for k in range(3):
             scores = attention_explanation(model, bag, k)
@@ -247,24 +244,22 @@ class TestAttentionExplanation:
             assert abs(scores.sum() - 1.0) < 1e-6
 
     def test_relevance_weights_identical_across_relations(self):
-        model = DirectSupModel(model_cfg(kind="directsup", K=3), seed=4)
+        model = RelationModel(model_cfg(kind="directsup", K=3), seed=4)
         bag = make_bag(n_sent=4)
         base = attention_explanation(model, bag, 0)
         for k in (1, 2):
             np.testing.assert_array_equal(attention_explanation(model, bag, k), base)
 
     def test_single_sentence_attention_is_one(self):
-        model = CnnsAttModel(model_cfg(), seed=4)
+        model = RelationModel(model_cfg(), seed=4)
         scores = attention_explanation(model, make_bag(n_sent=1), 0)
         np.testing.assert_allclose(scores, [1.0], rtol=1e-12)
 
 
 class TestNoMutation:
-    @pytest.mark.parametrize("cls,kind", [
-        (DirectSupModel, "directsup"), (CnnsAttModel, "cnns-att"),
-    ])
-    def test_parameters_bit_identical_after_all_methods(self, cls, kind):
-        model = cls(model_cfg(kind=kind, fusion=True, n_entities=4), seed=9)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_parameters_bit_identical_after_all_methods(self, kind):
+        model = RelationModel(model_cfg(kind=kind, fusion=True, n_entities=4), seed=9)
         before = {n: p.data.tobytes() for n, p in model.params.items()}
         bag = make_bag(n_sent=3)
         for method in METHODS:
@@ -275,7 +270,7 @@ class TestNoMutation:
 
 class TestDispatchAndIO:
     def test_explain_bag_records_provenance(self):
-        model = CnnsAttModel(model_cfg(), seed=0)
+        model = RelationModel(model_cfg(), seed=0)
         bag = make_bag(n_sent=3, bag_id="b7")
         for method in METHODS:
             out = explain_bag(model, bag, 1, method)
@@ -284,18 +279,18 @@ class TestDispatchAndIO:
             assert len(out.scores) == 3
 
     def test_unknown_method_rejected(self):
-        model = CnnsAttModel(model_cfg(), seed=0)
+        model = RelationModel(model_cfg(), seed=0)
         with pytest.raises(ValueError, match="unknown method"):
             explain_bag(model, make_bag(), 0, "lime")
 
     def test_relation_out_of_range_rejected(self):
-        model = CnnsAttModel(model_cfg(K=2), seed=0)
+        model = RelationModel(model_cfg(K=2), seed=0)
         for method in METHODS:
             with pytest.raises(ValueError, match="out of range"):
                 explain_bag(model, make_bag(), 5, method)
 
     def test_explain_corpus_covers_positive_pairs_only(self):
-        model = CnnsAttModel(model_cfg(K=3), seed=0)
+        model = RelationModel(model_cfg(K=3), seed=0)
         bags = [
             make_bag(n_sent=2, relations=frozenset({2, 0}), bag_id="a"),
             make_bag(n_sent=2, relations=frozenset(), bag_id="neg"),
@@ -308,7 +303,7 @@ class TestDispatchAndIO:
         assert keys == expected
 
     def test_scores_round_trip(self, tmp_path):
-        model = DirectSupModel(model_cfg(kind="directsup"), seed=0)
+        model = RelationModel(model_cfg(kind="directsup"), seed=0)
         scores = explain_corpus(model, [make_bag(n_sent=3)])
         path = str(tmp_path / "scores.jsonl")
         write_scores(path, scores, meta={"seed": 0})
@@ -347,8 +342,8 @@ def shaped_bag(shape):
 
 
 SHARED_CASES = [
-    pytest.param(cls, kind, fusion, shape, id=f"{kind}-fusion{int(fusion)}-{shape}")
-    for cls, kind in ((DirectSupModel, "directsup"), (CnnsAttModel, "cnns-att"))
+    pytest.param(kind, fusion, shape, id=f"{kind}-fusion{int(fusion)}-{shape}")
+    for kind in CLASS_NAMES
     for fusion in (False, True)
     for shape in ("1", "2", "16", "16dup")
 ]
@@ -359,14 +354,14 @@ class TestSharedForward:
     give exactly what a standalone call, and for loo a fresh forward over
     the remaining sentences, gives."""
 
-    def model(self, cls, kind, fusion):
+    def model(self, kind, fusion):
         cfg = model_cfg(kind=kind, K=3, fusion=fusion, n_entities=4 if fusion else 0,
                         widths=(2, 3), channels=2)
-        return cls(cfg, seed=11)
+        return RelationModel(cfg, seed=11)
 
-    @pytest.mark.parametrize("cls,kind,fusion,shape", SHARED_CASES)
-    def test_loo_equals_fresh_bag_oracle(self, cls, kind, fusion, shape):
-        model = self.model(cls, kind, fusion)
+    @pytest.mark.parametrize("kind,fusion,shape", SHARED_CASES)
+    def test_loo_equals_fresh_bag_oracle(self, kind, fusion, shape):
+        model = self.model(kind, fusion)
         bag = shaped_bag(shape)
         fwd = model.forward_bag(bag)
         for k in range(3):
@@ -376,9 +371,9 @@ class TestSharedForward:
             assert leave_one_out(model, bag, k, fwd).tolist() == oracle
             assert leave_one_out(model, bag, k).tolist() == oracle
 
-    @pytest.mark.parametrize("cls,kind,fusion,shape", SHARED_CASES)
-    def test_corpus_rows_equal_standalone_calls(self, cls, kind, fusion, shape):
-        model = self.model(cls, kind, fusion)
+    @pytest.mark.parametrize("kind,fusion,shape", SHARED_CASES)
+    def test_corpus_rows_equal_standalone_calls(self, kind, fusion, shape):
+        model = self.model(kind, fusion)
         bag = shaped_bag(shape)
         before = {n: p.data.tobytes() for n, p in model.params.items()}
         rows = explain_corpus(model, [bag])
@@ -393,7 +388,7 @@ class TestSharedForward:
             assert p.data.tobytes() == before[n]
 
     def test_relation_out_of_range_rejected_with_shared_forward(self):
-        model = CnnsAttModel(model_cfg(K=2), seed=0)
+        model = RelationModel(model_cfg(K=2), seed=0)
         bag = make_bag(n_sent=3, relations=frozenset({5}))
         with pytest.raises(ValueError, match="out of range"):
             explain_corpus(model, [bag])
@@ -423,15 +418,12 @@ class TestSharedForward:
                             counted("encode", encode_counting_sentences))
         monkeypatch.setattr(RelationModel, "forward_sentences",
                             counted("forward", RelationModel.forward_sentences))
-        model = CnnsAttModel(model_cfg(K=2), seed=0)
+        model = RelationModel(model_cfg(K=2), seed=0)
         explain_corpus(model, [make_bag(n_sent=16, relations=frozenset({1}))])
         assert calls == {"encode": 1, "sentences": 16, "forward": 1}
 
-    @pytest.mark.parametrize("cls,kind", [
-        (DirectSupModel, "directsup"), (CnnsAttModel, "cnns-att"),
-    ])
-    def test_one_gradient_per_relation_and_one_repool_per_sentence(self, monkeypatch,
-                                                                   cls, kind):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_gradient_per_relation_and_one_repool_per_sentence(self, monkeypatch, kind):
         # all four methods on a bag of N = 5 sentences labeled with R = 2
         # relations: saliency and gi share each relation's gradient, and both
         # relations read their loo logits from the same N re-pools
@@ -444,18 +436,17 @@ class TestSharedForward:
             return wrapper
 
         monkeypatch.setattr(ad, "grad", counted("grad", ad.grad))
-        monkeypatch.setattr(cls, "_bag_logits", counted("pool", cls._bag_logits))
-        model = cls(model_cfg(kind=kind, K=3), seed=0)
+        monkeypatch.setattr(RelationModel, "_bag_logits",
+                            counted("pool", RelationModel._bag_logits))
+        model = RelationModel(model_cfg(kind=kind, K=3), seed=0)
         rows = explain_corpus(model, [make_bag(n_sent=5, relations=frozenset({0, 2}))])
         assert len(rows) == 2 * len(METHODS)
         assert calls == {"grad": 2, "pool": 1 + 5}  # the bag's forward, then the N re-pools
 
-    @pytest.mark.parametrize("cls,kind", [
-        (DirectSupModel, "directsup"), (CnnsAttModel, "cnns-att"),
-    ])
-    def test_explain_pass_leaves_no_reference_cycles(self, cls, kind):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_explain_pass_leaves_no_reference_cycles(self, kind):
         # graphs are freed by reference counting alone
-        model = cls(model_cfg(kind=kind, fusion=True, n_entities=4), seed=9)
+        model = RelationModel(model_cfg(kind=kind, fusion=True, n_entities=4), seed=9)
         bag = make_bag(n_sent=4, relations=frozenset({0, 1}))
         gc.collect()
         gc.disable()
@@ -469,7 +460,7 @@ class TestSharedForward:
 class TestDegenerateSaliency:
     def test_sentence_on_zero_weight_path_scores_zero(self):
         # head row of zeros: the logit ignores the encodings entirely
-        model = CnnsAttModel(model_cfg(K=2), seed=3)
+        model = RelationModel(model_cfg(K=2), seed=3)
         model.params["head.rel"].data[1] = 0.0
         bag = make_bag(n_sent=2)
         np.testing.assert_allclose(saliency(model, bag, 1), [0.0, 0.0], atol=1e-15)

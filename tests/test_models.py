@@ -16,9 +16,8 @@ from relexpl.encoder import EncoderConfig
 from relexpl.explain import explain_bag
 from relexpl.models import (
     BCE_EPS,
-    CnnsAttModel,
-    DirectSupModel,
     ModelConfig,
+    RelationModel,
     bce_loss,
     build_model,
     label_vector,
@@ -60,14 +59,14 @@ def make_bag(bag_id="b0", n_sent=2, relations=frozenset({1}), seed=0, entities=(
 
 class TestRelevanceWeights:
     def test_zero_classifier_gives_half(self):
-        model = DirectSupModel(tiny_model_cfg(), seed=0)
+        model = RelationModel(tiny_model_cfg(), seed=0)
         model.params["rel.w"].data[...] = 0.0
         model.params["rel.b"].data[...] = 0.0
         fwd = model.forward_bag(make_bag(n_sent=3))
         np.testing.assert_allclose(fwd.alphas.data, [0.5, 0.5, 0.5], rtol=1e-12)
 
     def test_identical_sentences_identical_weights(self):
-        model = DirectSupModel(tiny_model_cfg(), seed=0)
+        model = RelationModel(tiny_model_cfg(), seed=0)
         s = make_sentence([1, 2, 3, 4, 5])
         bag = Bag("b", 0, 1, 0, 1, frozenset({0}), (s, s, s))
         fwd = model.forward_bag(bag)
@@ -75,12 +74,11 @@ class TestRelevanceWeights:
 
     def test_sigmoid_hand_value(self):
         # scores of ln 3 must give weight 0.75
-        model = DirectSupModel(tiny_model_cfg(), seed=0)
-        X = Tensor(np.ones((1, 6)))
+        model = RelationModel(tiny_model_cfg(), seed=0)
         model.params["rel.w"].data[...] = 0.0
         model.params["rel.b"].data[...] = math.log(3.0)
-        alphas = model.relevance_alphas(X)
-        np.testing.assert_allclose(alphas.data, [0.75], rtol=1e-12)
+        fwd = model.forward_bag(make_bag(n_sent=2))
+        np.testing.assert_allclose(fwd.alphas.data, [0.75, 0.75], rtol=1e-12)
 
 
 class TestDirectSupBagRep:
@@ -91,20 +89,19 @@ class TestDirectSupBagRep:
         np.testing.assert_allclose(rep.data, [2.0, 2.0], rtol=1e-12)
 
     def test_single_sentence_rep_is_weighted_encoding(self):
-        model = DirectSupModel(tiny_model_cfg(), seed=1)
+        model = RelationModel(tiny_model_cfg(), seed=1)
         fwd = model.forward_bag(make_bag(n_sent=1))
-        np.testing.assert_allclose(
-            fwd.reps.data, fwd.alphas.data[0] * fwd.X.data[0], rtol=1e-12
-        )
+        assert fwd.reps.shape == (1, 6)  # one row serves every relation
+        np.testing.assert_allclose(fwd.reps.data, fwd.alphas.data[0] * fwd.X.data[:1], rtol=1e-12)
 
     def test_rep_matches_numpy_oracle(self):
-        model = DirectSupModel(tiny_model_cfg(), seed=2)
+        model = RelationModel(tiny_model_cfg(), seed=2)
         fwd = model.forward_bag(make_bag(n_sent=4, seed=5))
-        expected = np.max(fwd.alphas.data[:, None] * fwd.X.data, axis=0)
+        expected = np.max(fwd.alphas.data[:, None] * fwd.X.data, axis=0, keepdims=True)
         np.testing.assert_allclose(fwd.reps.data, expected, rtol=1e-12)
 
     def test_permutation_invariance_exact(self):
-        model = DirectSupModel(tiny_model_cfg(), seed=2)
+        model = RelationModel(tiny_model_cfg(), seed=2)
         bag = make_bag(n_sent=4, seed=6)
         flipped = Bag(bag.bag_id, bag.entity_i, bag.entity_j, bag.fget_i, bag.fget_j,
                       bag.relations, tuple(reversed(bag.sentences)))
@@ -114,7 +111,7 @@ class TestDirectSupBagRep:
         np.testing.assert_array_equal(a, b)
 
     def test_duplicate_sentence_changes_nothing(self):
-        model = DirectSupModel(tiny_model_cfg(), seed=2)
+        model = RelationModel(tiny_model_cfg(), seed=2)
         bag = make_bag(n_sent=3, seed=7)
         doubled = Bag(bag.bag_id, bag.entity_i, bag.entity_j, bag.fget_i, bag.fget_j,
                       bag.relations, bag.sentences + (bag.sentences[0],))
@@ -125,12 +122,12 @@ class TestDirectSupBagRep:
 
 class TestAttention:
     def test_singleton_bag_weight_one(self):
-        model = CnnsAttModel(tiny_model_cfg(kind="cnns-att"), seed=0)
+        model = RelationModel(tiny_model_cfg(kind="cnns-att"), seed=0)
         fwd = model.forward_bag(make_bag(n_sent=1))
         np.testing.assert_allclose(fwd.alphas.data, np.ones((1, 3)), rtol=1e-12)
 
     def test_identical_sentences_split_evenly(self):
-        model = CnnsAttModel(tiny_model_cfg(kind="cnns-att"), seed=0)
+        model = RelationModel(tiny_model_cfg(kind="cnns-att"), seed=0)
         s = make_sentence([1, 2, 3, 4, 5])
         bag = Bag("b", 0, 1, 0, 1, frozenset({0}), (s, s))
         fwd = model.forward_bag(bag)
@@ -138,20 +135,20 @@ class TestAttention:
 
     def test_hand_softmax(self):
         # scores (ln 2, 0) -> weights (2/3, 1/3)
-        model = CnnsAttModel(tiny_model_cfg(kind="cnns-att", K=1), seed=0)
+        model = RelationModel(tiny_model_cfg(kind="cnns-att", K=1), seed=0)
         model.params["att.diag"].data[...] = 1.0
         model.params["att.query"].data[...] = np.array([[1.0, 0, 0, 0, 0, 0]])
         X = Tensor(np.array([[math.log(2.0), 0, 0, 0, 0, 0], [0.0, 0, 0, 0, 0, 0]]))
-        alphas = model.attention_alphas(X)
+        alphas = model.forward_encodings(X, 0, 1).alphas
         np.testing.assert_allclose(alphas.data[:, 0], [2 / 3, 1 / 3], rtol=1e-12)
 
     def test_weights_sum_to_one_per_relation(self):
-        model = CnnsAttModel(tiny_model_cfg(kind="cnns-att", K=4), seed=1)
+        model = RelationModel(tiny_model_cfg(kind="cnns-att", K=4), seed=1)
         fwd = model.forward_bag(make_bag(n_sent=5, seed=3))
         np.testing.assert_allclose(fwd.alphas.data.sum(axis=0), np.ones(4), atol=1e-6)
 
     def test_rep_matches_numpy_oracle_and_convexity(self):
-        model = CnnsAttModel(tiny_model_cfg(kind="cnns-att", K=4), seed=1)
+        model = RelationModel(tiny_model_cfg(kind="cnns-att", K=4), seed=1)
         fwd = model.forward_bag(make_bag(n_sent=5, seed=4))
         X, A = fwd.X.data, fwd.alphas.data
         for k in range(4):
@@ -166,7 +163,7 @@ class TestAttention:
         np.testing.assert_allclose(rep.data, [1.0, 2.0], rtol=1e-12)
 
     def test_permutation_invariance(self):
-        model = CnnsAttModel(tiny_model_cfg(kind="cnns-att"), seed=2)
+        model = RelationModel(tiny_model_cfg(kind="cnns-att"), seed=2)
         bag = make_bag(n_sent=4, seed=8)
         flipped = Bag(bag.bag_id, bag.entity_i, bag.entity_j, bag.fget_i, bag.fget_j,
                       bag.relations, tuple(reversed(bag.sentences)))
@@ -179,14 +176,14 @@ class TestAttention:
 
 class TestPredict:
     def test_zero_logit_is_half(self):
-        model = DirectSupModel(tiny_model_cfg(), seed=0)
+        model = RelationModel(tiny_model_cfg(), seed=0)
         model.params["head.rel"].data[...] = 0.0
         model.params["head.bias"].data[...] = 0.0
         p, o = predict_k(model, make_bag(), 1)
         assert o == 0.0 and p == 0.5
 
     def test_degenerate_head_gives_bias_sigmoid(self):
-        model = DirectSupModel(tiny_model_cfg(), seed=0)
+        model = RelationModel(tiny_model_cfg(), seed=0)
         model.params["head.rel"].data[...] = 0.0
         model.params["head.bias"].data[...] = np.array([0.0, math.log(9.0), -1.0])
         for seed in (1, 2, 3):
@@ -194,12 +191,12 @@ class TestPredict:
             np.testing.assert_allclose(p, 0.9, rtol=1e-12)  # sigmoid(ln 9)
 
     def test_k_out_of_range(self):
-        model = DirectSupModel(tiny_model_cfg(K=3), seed=0)
+        model = RelationModel(tiny_model_cfg(K=3), seed=0)
         with pytest.raises(ValueError, match="out of range"):
             explain_bag(model, make_bag(), 3, "attention")
 
     def test_logits_linear_in_rep(self):
-        model = CnnsAttModel(tiny_model_cfg(kind="cnns-att"), seed=3)
+        model = RelationModel(tiny_model_cfg(kind="cnns-att"), seed=3)
         fwd = model.forward_bag(make_bag(n_sent=2, seed=9))
         R = model.params["head.rel"].data
         b = model.params["head.bias"].data
@@ -207,31 +204,58 @@ class TestPredict:
         np.testing.assert_allclose(fwd.logits.data, expected, rtol=1e-10)
 
     def test_empty_selection_uses_zero_rep(self):
-        model = DirectSupModel(tiny_model_cfg(), seed=0)
+        model = RelationModel(tiny_model_cfg(), seed=0)
         fwd = model.forward_bag(make_bag(), include=[])
         np.testing.assert_allclose(fwd.logits.data, model.params["head.bias"].data, rtol=1e-12)
         assert fwd.X is None and fwd.alphas is None
+
+
+def head_reference(model, reps, entity_i, entity_j):
+    """numpy logits of the model's head over (R, d) bag rows, R = K or 1."""
+    p = {name: t.data for name, t in model.params.items()}
+    if model.cfg.fusion:
+        vi, vj = p["fuse.entities"][entity_i], p["fuse.entities"][entity_j]
+        pair = np.broadcast_to(np.concatenate([vi - vj, vi * vj]), (reps.shape[0], 8))
+        reps = np.maximum(np.concatenate([reps, pair], axis=1) @ p["fuse.proj"]
+                          + p["fuse.bias"], 0.0)
+    return np.sum(reps * p["head.rel"], axis=1) + p["head.bias"]
 
 
 class TestFusion:
     def fused_model(self, kind="directsup", seed=0):
         return build_model(tiny_model_cfg(kind=kind, fusion=True, n_entities=6), seed=seed)
 
+    @pytest.mark.parametrize("kind", ["directsup", "cnns-att"])
+    @pytest.mark.parametrize("fusion", [False, True])
+    def test_head_matches_numpy_reference(self, kind, fusion):
+        model = build_model(tiny_model_cfg(kind=kind, fusion=fusion, n_entities=6), seed=4)
+        fwd = model.forward_bag(make_bag(n_sent=3, entities=(1, 4)))
+        assert fwd.reps.shape == ((1, 6) if kind == "directsup" else (3, 6))
+        np.testing.assert_allclose(fwd.logits.data, head_reference(model, fwd.reps.data, 1, 4),
+                                   rtol=1e-12)
+        empty = model.forward_bag(make_bag(entities=(1, 4)), include=[])
+        np.testing.assert_allclose(empty.logits.data,
+                                   head_reference(model, np.zeros((1, 6)), 1, 4), rtol=1e-12)
+
     def test_equal_entities_zero_difference_block(self):
         model = self.fused_model()
         table = model.params["fuse.entities"].data
         table[3] = table[2]
-        rep = Tensor(np.zeros(6))
-        fused_same = model._fuse_vec(rep, 2, 3)
+        p = {name: t.data for name, t in model.params.items()}
+        fwd = model.forward_bag(make_bag(entities=(2, 3)))
         # difference block zero: fused value driven by rep and product block only
-        z = np.concatenate([np.zeros(6), np.zeros(4), table[2] * table[3]])
-        expected = np.maximum(z @ model.params["fuse.proj"].data + model.params["fuse.bias"].data, 0.0)
-        np.testing.assert_allclose(fused_same.data, expected, rtol=1e-12)
+        z = np.concatenate([fwd.reps.data, np.zeros((1, 4)), (table[2] * table[3])[None]], axis=1)
+        fused = np.maximum(z @ p["fuse.proj"] + p["fuse.bias"], 0.0)
+        expected = np.sum(fused * p["head.rel"], axis=1) + p["head.bias"]
+        np.testing.assert_allclose(fwd.logits.data, expected, rtol=1e-12)
 
     def test_output_nonnegative(self):
-        model = self.fused_model()
-        fwd = model.forward_bag(make_bag(entities=(4, 5)))
-        assert np.all(model._fuse_vec(fwd.reps, 4, 5).data >= 0.0)
+        # a fused row is a ReLU: pushed below zero it is all zeros, and the logits are the bias
+        for kind in ("directsup", "cnns-att"):
+            model = self.fused_model(kind=kind)
+            model.params["fuse.bias"].data[...] = -1e6
+            fwd = model.forward_bag(make_bag(entities=(4, 5)))
+            np.testing.assert_array_equal(fwd.logits.data, model.params["head.bias"].data)
 
     def test_missing_entity_row(self):
         model = self.fused_model()
@@ -252,10 +276,13 @@ class TestFusion:
     def test_att_fused_rows_match_vector_path(self):
         model = self.fused_model(kind="cnns-att", seed=2)
         fwd = model.forward_bag(make_bag(n_sent=3, entities=(1, 2)))
+        table = model.params["fuse.entities"].data
+        pair = np.concatenate([table[1] - table[2], table[1] * table[2]])
         for k in range(3):
-            via_vec = model._fuse_vec(ad.take(fwd.reps, k), 1, 2)
-            via_logit = (via_vec.data @ model.params["head.rel"].data[k]
-                         + model.params["head.bias"].data[k])
+            fused = np.maximum(np.concatenate([fwd.reps.data[k], pair])
+                               @ model.params["fuse.proj"].data + model.params["fuse.bias"].data,
+                               0.0)
+            via_logit = fused @ model.params["head.rel"].data[k] + model.params["head.bias"].data[k]
             np.testing.assert_allclose(fwd.logits.data[k], via_logit, rtol=1e-10)
 
     def test_fusion_gradients_match_finite_differences(self):
@@ -390,11 +417,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match=cause):
             load_model(path)
 
+    @pytest.mark.parametrize("kind", ["directsup", "cnns-att"])
+    def test_each_kind_reloads_with_equal_logits(self, tmp_path, kind):
+        model = RelationModel(tiny_model_cfg(kind=kind), seed=3)
+        bag = make_bag(n_sent=3, entities=(0, 4))
+        path = str(tmp_path / "m.json")
+        model.save(path)
+        loaded, _ = load_model(path)
+        assert loaded.cfg == model.cfg
+        assert (loaded.forward_bag(bag).logits.data == model.forward_bag(bag).logits.data).all()
+
     def test_model_needs_one_source_of_parameters(self):
         with pytest.raises(ValueError, match="seed or from checkpoint arrays"):
-            DirectSupModel(tiny_model_cfg())
+            RelationModel(tiny_model_cfg())
         with pytest.raises(ValueError, match="seed or from checkpoint arrays"):
-            DirectSupModel(tiny_model_cfg(), seed=0, arrays={})
+            RelationModel(tiny_model_cfg(), seed=0, arrays={})
 
     def test_config_round_trip(self):
         cfg = tiny_model_cfg(kind="cnns-att", fusion=True, n_entities=5)
