@@ -2,15 +2,16 @@
 
 Every operation records its inputs and a VJP rule; the VJP rules are built
 out of the same operations, so gradients can themselves be differentiable
-graphs. That property is load-bearing: the distractor training loss
-backpropagates through gradient-x-input values, which requires
-second-order derivatives.
+graphs. Training does not use that: the distractor loss's
+gradient-x-input is built in closed form (explain.gi_vector), so every
+training gradient is first-order. The test suite checks that closed form
+against a gradient of a gradient.
 
 The ops: add, sub, mul; relu, absolute, clamp, sigmoid, log, reciprocal;
 broadcast_to, sum_to, reshape; transpose, matmul; reduce_sum, rows_max,
 softmax; take, put, concat. first_order makes a node whose VJP is plain
 numpy, for a caller that computes its own forward and backward (the
-sentence encoder). Gradients are functional: grad(root, wrt) returns
+sentence encoder, the closed-form gradient-x-input). Gradients are functional: grad(root, wrt) returns
 d(root)/d(t) for each t in wrt and changes no tensor.
 
 grad(root, wrt, create_graph=True) returns differentiable gradients.

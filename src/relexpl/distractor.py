@@ -12,15 +12,16 @@ the distractor's attribution near zero (absolute-value term):
     l_d = max(0, gamma + GI_distractor - max_n GI_n) + |GI_distractor|
 
 GI here is gradient-times-input, which itself contains a gradient of the
-logit; training on this loss therefore differentiates through that
-gradient, which the tensor engine supports.
+logit. For the two poolings it has a closed form (explain.gi_vector), one
+first-order node whose VJP is that form's derivative, so the loss's
+parameter gradient is an ordinary first-order backward: no gradient of a
+gradient is taken.
 
-The augmented forward reuses the base bag's encodings: augmented_bag_loss
-takes the BagForward that the BCE loss ran, encodes only the distractor,
-appends its row to the cached stack and pools the N + 1 rows again. A
-training step on a bag of N sentences with R labeled relations thus
-encodes N + R sentences, and the backward pass crosses each base
-encoding once.
+A training step encodes the bag and all its distractors in one encoder
+call. The classification loss reads the bag's N rows of that stack; the
+term for distractor j reads the N rows and row N + j. A step on a bag of
+N sentences with R labeled relations thus encodes N + R sentences once
+each, and its backward crosses the encoder once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Bag, Sentence, splice_mentions
 from .explain import gi_vector
-from .models import BagForward, RelationModel
+from .models import RelationModel
 
 
 class DistractorError(RuntimeError):
@@ -143,28 +144,25 @@ def distractor_loss(gi_original: Tensor, gi_distractor: Tensor, gamma: float) ->
 
 
 def augmented_bag_loss(model: RelationModel, aug: AugmentedBag, gamma: float,
-                       fwd: BagForward | None = None) -> Tensor:
-    """Distractor loss for one (bag, relation) from the base bag's encodings.
+                       X: Tensor | None = None) -> Tensor:
+    """Distractor loss for one (bag, relation) over the augmented bag's encodings.
 
-    fwd, if given, is model.forward_bag(aug.base), the forward the BCE loss
-    already ran; without it the base bag is run forward here. Only the
-    distractor is encoded: its row is appended to the cached stack fwd.X
-    and the N + 1 rows are pooled again. Sentence encodings do not
-    interact, so the logits and the loss equal those of one forward over
-    the augmented bag bit for bit, while the base encodings are computed,
-    and backpropagated, once per training step.
+    X, if given, is the (N + 1, d) stack of the base bag's encodings with
+    the distractor's last, as training takes it out of the step's one
+    encoder call; without it the base bag and the distractor are encoded
+    here, in one call. Sentence encodings do not depend on the batch, so
+    both give the same loss bit for bit.
     """
     base = aug.base
-    if fwd is None:
-        fwd = model.forward_bag(base)
     n = len(base.sentences)
-    if fwd.X is None:
+    if n == 0:
         raise ValueError("distractor loss needs a nonempty base bag")
-    if fwd.X.shape[0] != n:
-        raise ValueError(f"forward holds {fwd.X.shape[0]} encodings, "
-                         f"bag {base.bag_id!r} has {n} sentences")
-    X = ad.concat([fwd.X, model.encode_bag([aug.distractor])])
-    gi = gi_vector(model.forward_encodings(X, base.entity_i, base.entity_j), aug.relation)
+    if X is None:
+        X = model.encode_bag(base.sentences + (aug.distractor,))
+    if X.shape[0] != n + 1:
+        raise ValueError(f"stack holds {X.shape[0]} encodings, bag {base.bag_id!r} "
+                         f"has {n} sentences and one distractor")
+    gi = gi_vector(model, X, aug.relation, base.entity_i, base.entity_j)
     return distractor_loss(ad.take(gi, slice(0, n)), ad.take(gi, n), gamma)
 
 

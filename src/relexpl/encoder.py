@@ -11,9 +11,9 @@ first-order engine node (autodiff.first_order): its forward is plain
 numpy, one gather per table, and per width one window gather, one GEMM
 call per sentence, one bias add and one per-sentence max. Each encoding
 is bit-identical to that of the sentence encoded alone. Its VJP is plain
-numpy too, so the encodings are differentiable once: the training
-backward crosses the encoder, and the one second-order path of the
-system (the distractor loss) starts at the encodings, above it. The VJP
+numpy too, so the encodings are differentiable once, which is all the
+training backward needs: the distractor loss's gradient×input is a
+closed form over the encodings (explain.gi_vector), not a gradient. The VJP
 forms the input gradient only for the columns of tables that require
 grad, so the frozen token table costs no backward work.
 

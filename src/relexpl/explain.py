@@ -18,12 +18,17 @@ model: gradients are taken functionally.
 explain_corpus runs each positive bag forward once and every (relation,
 method) pair reads that forward: attention its weights, saliency and gi
 one first-order gradient per relation, taken on its graph without
-recording a graph of its own (create_graph=False), and loo one re-pooling
+recording a graph of its own, and loo one re-pooling
 of its cached encoding stack per dropped sentence, whose K logits serve
 every relation. The forward memoizes both (BagForward.memo). Sentence
 encodings do not interact, so the re-pooled logits are exactly those of a
 fresh forward over the remaining sentences, and leave-one-out costs one
 pooling per sentence rather than a re-encoding of the bag per sentence.
+
+Distractor training needs gradient×input as a differentiable value.
+gi_vector gives it in closed form for the two poolings, as a first-order
+node with a numpy VJP, so that the training loss's parameter gradient is
+an ordinary first-order backward rather than a gradient of a gradient.
 """
 
 from __future__ import annotations
@@ -34,10 +39,10 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import jsonio
+from . import jsonio, kernels
 from .autodiff import Tensor
 from .corpus import Bag
-from .models import KIND_DIRECTSUP, BagForward, RelationModel
+from .models import KIND_DIRECTSUP, BagForward, RelationModel, _sigmoid_np
 
 METHODS = ("attention", "saliency", "gi", "loo")
 
@@ -50,22 +55,87 @@ class ImportanceScores:
     scores: tuple[float, ...]
 
 
-def encoding_gradient(fwd: BagForward, k: int, create_graph: bool = True) -> Tensor:
-    """(N, d) gradient of the logit o_k w.r.t. the encoding stack.
-
-    With create_graph it is a graph node that training can differentiate;
-    the explanation scores take it with create_graph=False, same values.
-    """
+def encoding_gradient(fwd: BagForward, k: int) -> Tensor:
+    """(N, d) gradient of the logit o_k w.r.t. the encoding stack, first-order:
+    the gradient is a bare tensor, with no graph of its own."""
     if fwd.X is None:
         raise ValueError("forward pass has no sentence encodings")
-    (gX,) = ad.grad(ad.take(fwd.logits, k), [fwd.X], create_graph=create_graph)
+    (gX,) = ad.grad(ad.take(fwd.logits, k), [fwd.X], create_graph=False)
     return gX
 
 
-def gi_vector(fwd: BagForward, k: int) -> Tensor:
-    """Per-sentence gradient-times-input as a differentiable (N,) tensor."""
-    gX = encoding_gradient(fwd, k)
-    return ad.reduce_sum(ad.mul(gX, fwd.X), 1)
+def _logit_direction(model: RelationModel, rep: np.ndarray, k: int,
+                     entity_i: int, entity_j: int) -> Tensor:
+    """u_k = d o_k / d rep as a recorded (d,) tensor, for the pre-fusion bag row rep.
+
+    Without fusion it is head.rel[k]; with it, fuse.proj[:d] @ (m * head.rel[k]),
+    where m, the ReLU mask of rep's fused row, enters as a constant.
+    """
+    p = model.params
+    r = ad.take(p["head.rel"], k)
+    if not model.cfg.fusion:
+        return r
+    mask = (model._fuse(Tensor(rep[None]), entity_i, entity_j).data[0] > 0.0).astype(np.float64)
+    return ad.matmul(ad.take(p["fuse.proj"], slice(0, rep.shape[0])), ad.mul(r, mask))
+
+
+def gi_vector(model: RelationModel, X: Tensor, k: int, entity_i: int, entity_j: int) -> Tensor:
+    """Per-sentence gradient×input of o_k over the (N, d) encoding stack X, in closed form.
+
+    Its values are those of encoding_gradient(...) times X, row by row, on a
+    forward over X. With s = X u_k (see `_logit_direction`):
+
+      cnns-att   q' = att.query[k] * att.diag, alpha = softmax(X q'),
+                 GI_n = alpha_n (s_n + (s_n - alpha . s)(x_n . q'))
+      directsup  alpha = sigmoid(X rel.w + rel.b), M the one-hot winner mask of
+                 the max-pool (ties to the lowest row, as ad.rows_max),
+                 t = (X * M) u_k, GI_n = alpha_n t_n (1 + (1 - alpha_n)(x_n . rel.w))
+
+    The result is one first-order node over X, the weighting parameters and
+    u_k, whose VJP is the derivative of these formulas in numpy; the
+    max-pool winners and the fusion mask are constants to it, as they are
+    to the engine's own gradients. The --ld loss's parameter gradient is
+    thus an ordinary first-order backward.
+    """
+    model._check_k(k)
+    p = model.params
+    x = X.data
+    if model.cfg.kind == KIND_DIRECTSUP:
+        w, b = p["rel.w"], p["rel.b"]
+        xw = x @ w.data
+        a = _sigmoid_np(xw + b.data)
+        rep, winners = kernels.rows_max(x * a.reshape(-1, 1))
+        mask = np.zeros(x.shape)
+        mask[winners, np.arange(x.shape[1])] = 1.0
+        u = _logit_direction(model, rep, k, entity_i, entity_j)
+        xm = x * mask
+        t = xm @ u.data
+        h = 1.0 + (1.0 - a) * xw
+
+        def ds_vjp(g):
+            g_pre = g * t * (h - a * xw) * a * (1.0 - a)  # through alpha's sigmoid
+            g_xw = g_pre + g * a * t * (1.0 - a)
+            g_t = g * a * h
+            return (np.outer(g_xw, w.data) + mask * np.outer(g_t, u.data),
+                    x.T @ g_xw, g_pre.sum(), xm.T @ g_t)
+
+        return ad.first_order(a * t * h, (X, w, b, u), ds_vjp, "gi_vector")
+    q = ad.mul(ad.take(p["att.query"], k), p["att.diag"])
+    z = x @ q.data
+    e = np.exp(z - z.max())
+    a = e / e.sum()
+    u = _logit_direction(model, a @ x, k, entity_i, entity_j)
+    s = x @ u.data
+    c = s - a @ s
+
+    def att_vjp(g):
+        g_mean = -(g * a * z).sum()  # through alpha . s
+        g_a = g * (s + c * z) + g_mean * s
+        g_s = g * a * (1.0 + z) + g_mean * a
+        g_z = g * a * c + a * (g_a - a @ g_a)  # through the softmax
+        return np.outer(g_z, q.data) + np.outer(g_s, u.data), x.T @ g_z, x.T @ g_s
+
+    return ad.first_order(a * (s + c * z), (X, q, u), att_vjp, "gi_vector")
 
 
 def _shared_forward(model: RelationModel, bag: Bag, k: int,
@@ -76,11 +146,11 @@ def _shared_forward(model: RelationModel, bag: Bag, k: int,
 
 
 def _gradient_once(fwd: BagForward, k: int) -> np.ndarray:
-    """encoding_gradient(fwd, k, create_graph=False) as an array, taken once per
-    forward and relation: saliency and gi both read it."""
+    """encoding_gradient(fwd, k) as an array, taken once per forward and
+    relation: saliency and gi both read it."""
     key = ("encoding_gradient", k)
     if key not in fwd.memo:
-        fwd.memo[key] = encoding_gradient(fwd, k, create_graph=False).data
+        fwd.memo[key] = encoding_gradient(fwd, k).data
     return fwd.memo[key]
 
 
@@ -93,7 +163,7 @@ def saliency(model: RelationModel, bag: Bag, k: int,
 def grad_input(model: RelationModel, bag: Bag, k: int,
                fwd: BagForward | None = None) -> np.ndarray:
     fwd = _shared_forward(model, bag, k, fwd)
-    return (_gradient_once(fwd, k) * fwd.X.data).sum(axis=1)  # gi_vector's numpy ops
+    return (_gradient_once(fwd, k) * fwd.X.data).sum(axis=1)
 
 
 def _dropped_logits(model: RelationModel, bag: Bag, fwd: BagForward) -> np.ndarray:

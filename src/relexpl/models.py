@@ -171,16 +171,21 @@ class RelationModel:
         """(K,) logits from (R, d) bag rows, R = K or 1; one row serves every relation."""
         p = self.params
         if self.cfg.fusion:
-            table = p["fuse.entities"]
-            for entity in (entity_i, entity_j):
-                if not 0 <= entity < table.shape[0]:
-                    raise ValueError(f"entity id {entity} has no embedding row")
-            vi, vj = ad.take(table, entity_i), ad.take(table, entity_j)
-            shape = (reps.shape[0], self.cfg.d_e)
-            z = ad.concat([reps, ad.broadcast_to(ad.sub(vi, vj), shape),
-                           ad.broadcast_to(ad.mul(vi, vj), shape)], axis=1)
-            reps = ad.relu(ad.add(ad.matmul(z, p["fuse.proj"]), p["fuse.bias"]))
+            reps = self._fuse(reps, entity_i, entity_j)
         return ad.add(ad.reduce_sum(ad.mul(reps, p["head.rel"]), 1), p["head.bias"])
+
+    def _fuse(self, reps: Tensor, entity_i: int, entity_j: int) -> Tensor:
+        """(R, d) fused rows: relu([rep, v_i - v_j, v_i * v_j] @ fuse.proj + fuse.bias)."""
+        p = self.params
+        table = p["fuse.entities"]
+        for entity in (entity_i, entity_j):
+            if not 0 <= entity < table.shape[0]:
+                raise ValueError(f"entity id {entity} has no embedding row")
+        vi, vj = ad.take(table, entity_i), ad.take(table, entity_j)
+        shape = (reps.shape[0], self.cfg.d_e)
+        z = ad.concat([reps, ad.broadcast_to(ad.sub(vi, vj), shape),
+                       ad.broadcast_to(ad.mul(vi, vj), shape)], axis=1)
+        return ad.relu(ad.add(ad.matmul(z, p["fuse.proj"]), p["fuse.bias"]))
 
     def _empty_logits(self, entity_i: int, entity_j: int) -> Tensor:
         """Logits for an empty sentence selection: the head over one zero row.
@@ -198,9 +203,8 @@ class RelationModel:
     def forward_encodings(self, X: Tensor, entity_i: int, entity_j: int) -> BagForward:
         """The forward pass over a nonempty (N, d) stack of sentence encodings.
 
-        Distractor training pools the base bag's cached stack with the
-        distractor's row appended through this, instead of encoding the
-        base bag again.
+        A distractor training step encodes the bag and its distractors in
+        one call and runs this on the bag's rows of that stack.
         """
         alphas, reps, logits = self._bag_logits(X, entity_i, entity_j)
         return BagForward(X=X, alphas=alphas, reps=reps, logits=logits,

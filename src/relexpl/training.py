@@ -8,11 +8,11 @@ run with a ValueError naming the epoch and the bag.
 
 With distractor training enabled, every positive bag gets one freshly
 sampled distractor per labeled relation at the start of each epoch, and
-the margin penalty is added to the objective. The penalty reuses the
-bag's BCE forward: each distractor is encoded alone and pooled with the
-cached base encodings, so a step encodes every base sentence once. A
-weight of zero skips all distractor machinery entirely, so such a run
-consumes exactly the same random draws as one with the feature off.
+the margin penalty is added to the objective. Such a step encodes the
+bag and its distractors in one encoder call: the BCE forward reads the
+bag's rows of that stack, and each distractor term the bag's rows and its
+own. A weight of zero skips all distractor machinery entirely, so such a
+run consumes exactly the same random draws as one with the feature off.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import Tensor
 from .corpus import Bag
 from .distractor import AugmentedBag, augmented_bag_loss, build_index, combined_loss, sample_distractor
 from .evaluation import pr_auc, score_bags
@@ -73,6 +74,31 @@ def _validation_auc(model: RelationModel, bags: Sequence[Bag]) -> float | None:
     return pr_auc(score_bags(model, bags)).auc_04
 
 
+def _step_loss(model: RelationModel, bag: Bag, augs: Sequence[AugmentedBag],
+               gamma: float, lam: float) -> Tensor:
+    """The objective of one training step on bag; augs holds its distractors, if any.
+
+    With distractors, the bag and they are encoded in one call: the BCE
+    forward reads the bag's N rows of the stack, and the term for
+    distractor j the N rows and row N + j.
+    """
+    n = len(bag.sentences)
+    if augs:
+        X = model.encode_bag(bag.sentences + tuple(aug.distractor for aug in augs))
+        fwd = model.forward_encodings(ad.take(X, slice(0, n)), bag.entity_i, bag.entity_j)
+    else:
+        fwd = model.forward_bag(bag)
+    loss = bce_loss(fwd.logits, label_vector(bag, model.cfg.n_relations))
+    if model.cfg.kind == KIND_DIRECTSUP:
+        loss = ad.add(loss, relevance_loss(
+            fwd.alphas, [s.relevance_label for s in bag.sentences]))
+    if not augs:
+        return loss
+    terms = [augmented_bag_loss(model, aug, gamma, ad.take(X, np.append(np.arange(n), n + j)))
+             for j, aug in enumerate(augs)]
+    return combined_loss(loss, terms, lam)
+
+
 def train_model(model: RelationModel, bags: Sequence[Bag], cfg: TrainConfig) -> TrainResult:
     cfg.validate()
     if not bags:
@@ -97,7 +123,6 @@ def train_model(model: RelationModel, bags: Sequence[Bag], cfg: TrainConfig) -> 
     use_ld = cfg.ld and cfg.lam > 0.0
     index = build_index(train_bags) if use_ld else None
 
-    K = model.cfg.n_relations
     params = model.trainable_params()
     opt = Adam(params, lr=cfg.lr)
     best = _snapshot(model)  # stands until the first epoch completes
@@ -130,14 +155,7 @@ def train_model(model: RelationModel, bags: Sequence[Bag], cfg: TrainConfig) -> 
         for oi in order:
             i = epoch_idx[int(oi)]
             bag = train_bags[i]
-            fwd = model.forward_bag(bag)
-            loss = bce_loss(fwd.logits, label_vector(bag, K))
-            if model.cfg.kind == KIND_DIRECTSUP:
-                loss = ad.add(loss, relevance_loss(
-                    fwd.alphas, [s.relevance_label for s in bag.sentences]))
-            if use_ld and i in augments:
-                terms = [augmented_bag_loss(model, aug, cfg.gamma, fwd) for aug in augments[i]]
-                loss = combined_loss(loss, terms, cfg.lam)
+            loss = _step_loss(model, bag, augments.get(i, ()), cfg.gamma, cfg.lam)
             value = float(loss.data)
             if not math.isfinite(value):
                 raise ValueError(f"training loss is {value} in epoch {epoch} at bag "

@@ -1,6 +1,8 @@
 """Shared test helpers: finite-difference oracles against the tensor engine,
-conv1d, the per-sentence convolution the encoder is checked against, and
-predict_k, one relation's prediction from a fresh forward pass."""
+conv1d, the per-sentence convolution the encoder is checked against,
+predict_k, one relation's prediction from a fresh forward pass, and
+double_backprop_gi, the second-order oracle of the closed-form
+gradient×input."""
 
 import numpy as np
 
@@ -108,3 +110,14 @@ def predict_k(model, bag, k):
     """(probability, logit) of relation k for the bag, from one fresh forward pass."""
     fwd = model.forward_bag(bag)
     return float(fwd.probs[k]), float(fwd.logits.data[k])
+
+
+def double_backprop_gi(fwd, k):
+    """Per-sentence gradient×input of o_k on a forward, as a differentiable (N,) tensor.
+
+    The gradient of the logit is itself a graph (create_graph=True), so the
+    value can be differentiated again: a second derivative of the logits,
+    against which explain.gi_vector's closed form is checked.
+    """
+    (gX,) = grad(ad.take(fwd.logits, k), [fwd.X], create_graph=True)
+    return ad.reduce_sum(ad.mul(gX, fwd.X), 1)

@@ -323,7 +323,7 @@ def test_criterion_2_definitional_oracles():
 
 
 # ---------------------------------------------------------------------------
-# 3. margin-loss hand cases + second-order finite differences
+# 3. margin-loss hand cases + finite differences of the --ld loss
 # ---------------------------------------------------------------------------
 
 def _hand_loss(originals, distractor, gamma):
@@ -345,9 +345,12 @@ def test_criterion_3_margin_loss():
             failures.append(f"{name}: loss {got!r} != {want!r}")
 
     # parameter gradients of the augmented loss are second derivatives of
-    # the logits; finite differences of the loss must still agree
-    for kind, seed in (("cnns-att", 0), ("directsup", 4)):
-        model = RelationModel(model_cfg(kind=kind, K=2), seed=seed)
+    # the logits, taken by a first-order backward through the closed-form
+    # gradient×input; finite differences of the loss must agree
+    for kind, seed, fusion in (("cnns-att", 0, False), ("directsup", 4, False),
+                               ("cnns-att", 0, True), ("directsup", 4, True)):
+        model = RelationModel(model_cfg(kind=kind, K=2, fusion=fusion,
+                                        n_entities=2 if fusion else 0), seed=seed)
         rng = np.random.default_rng(21)
         sents = [make_sentence([int(t) for t in rng.integers(0, 30, size=5)])
                  for _ in range(3)]
@@ -355,18 +358,19 @@ def test_criterion_3_margin_loss():
                    relations=frozenset({1}), sentences=tuple(sents[:2]))
         aug = AugmentedBag(base=base, relation=1,
                            distractor=_substitute_mentions(sents[2], base))
-        probe = {n: model.params[n] for n in
-                 ("head.rel", "head.bias", "enc.w2.filters", "enc.w2.bias")}
+        names = ("head.rel", "head.bias", "enc.w2.filters", "enc.w2.bias")
+        probe = {n: model.params[n] for n in names + (("fuse.proj",) if fusion else ())}
         try:
             # a wide margin keeps the hinge strictly active under FD probes
             check_param_grads(lambda: augmented_bag_loss(model, aug, 0.5),
                               probe, tol=1e-3)
         except AssertionError as exc:
-            failures.append(f"second-order FD ({kind}): {exc}")
+            failures.append(f"--ld loss FD ({kind}, fusion={fusion}): {exc}")
 
     _verdict(3, "margin-loss fidelity", failures,
-             "3 hand-evaluated loss cases to 1e-9; second-order parameter "
-             "gradients FD-checked at rel err < 1e-3 for both model kinds")
+             "3 hand-evaluated loss cases to 1e-9; --ld loss parameter gradients "
+             "(closed-form GI, first-order backward) FD-checked at rel err < 1e-3 "
+             "for both model kinds, fusion off and on")
 
 
 # ---------------------------------------------------------------------------

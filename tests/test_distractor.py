@@ -1,6 +1,6 @@
 """Distractor checks: hand-evaluated loss cases, a finite-difference pass
-through the gradient-of-gradient, sampling distribution statistics, and
-mention-substitution postconditions."""
+through the loss's second derivatives of the logits, sampling distribution
+statistics, and mention-substitution postconditions."""
 
 import gc
 
@@ -21,7 +21,6 @@ from relexpl.distractor import (
     sample_distractor,
 )
 from relexpl.encoder import EncoderConfig, SentenceEncoder
-from relexpl.explain import gi_vector
 from relexpl.models import (
     KIND_DIRECTSUP,
     ModelConfig,
@@ -31,9 +30,9 @@ from relexpl.models import (
     relevance_loss,
 )
 from relexpl.optim import Adam
-from relexpl.training import TrainConfig, train_model
+from relexpl.training import TrainConfig, _step_loss, train_model
 
-from conftest import check_param_grads
+from conftest import check_param_grads, double_backprop_gi
 
 
 def sent(tokens, mi=(0, 1), mj=(2, 3), fget=(0, 1), relevance=True):
@@ -276,7 +275,7 @@ class TestAugmentedLoss:
         fwd = model.forward_sentences(
             list(aug.base.sentences) + [aug.distractor],
             aug.base.entity_i, aug.base.entity_j)
-        gi = gi_vector(fwd, aug.relation).data
+        gi = double_backprop_gi(fwd, aug.relation).data
         want = max(0.0, gamma + gi[-1] - gi[:-1].max()) + abs(gi[-1])
         assert abs(got - want) < 1e-12
 
@@ -300,7 +299,8 @@ class TestAugmentedLoss:
 
 class TestSecondOrderGradients:
     """The loss contains gradient-times-input, so its parameter gradient is
-    a second derivative; finite differences of the loss must still agree."""
+    a second derivative of the logits, here taken by a first-order backward
+    through the closed form; finite differences of the loss must agree."""
 
     @pytest.mark.parametrize("kind,seed", [("cnns-att", 0), ("directsup", 4)])
     def test_parameter_gradients_match_fd(self, kind, seed):
@@ -328,15 +328,15 @@ class TestSecondOrderGradients:
                            distractor=_substitute_mentions(sentences[2], base))
         loss = augmented_bag_loss(model, aug, 0.5)
         targets = [model.params["att.query"], model.params["att.diag"]]
-        grads = ad.grad(loss, targets)
+        grads = ad.grad(loss, targets, create_graph=False)
         assert any(np.abs(g.data).max() > 0 for g in grads)
 
 
 class TestNoReferenceCycles:
     @pytest.mark.parametrize("kind", ["cnns-att", "directsup"])
     def test_ld_training_step_leaves_no_cycles(self, kind):
-        # the step of training.train_model under --ld: its first- and
-        # second-order graph is freed by reference counting alone
+        # the step of training.train_model under --ld: its graph is freed
+        # by reference counting alone
         model, aug = TestAugmentedLoss().fixtures(kind=kind)
         base = aug.base
         params = model.trainable_params()
@@ -344,7 +344,7 @@ class TestNoReferenceCycles:
         gc.collect()
         gc.disable()
         try:
-            loss = _step_loss(model, base, [aug], 1e-5, augmented_bag_loss)
+            loss = _step_loss(model, base, [aug], 1e-5, 1.0)
             opt.step(dict(zip(params, ad.backward(loss, params.values()))))
             del loss
             assert gc.collect() == 0
@@ -353,23 +353,21 @@ class TestNoReferenceCycles:
 
 
 def _separate_encoding_loss(model, aug, gamma):
-    """Reference: the distractor loss from one fresh forward over all N + 1
-    sentences, encoding the base bag again."""
-    fwd = model.forward_sentences(list(aug.base.sentences) + [aug.distractor],
-                                  aug.base.entity_i, aug.base.entity_j)
-    gi = gi_vector(fwd, aug.relation)
-    n = len(aug.base.sentences)
-    return distractor_loss(ad.take(gi, slice(0, n)), ad.take(gi, n), gamma)
+    """Reference: the distractor loss over the base bag and the distractor
+    encoded in two encoder calls."""
+    X = ad.concat([model.encode_bag(aug.base.sentences), model.encode_bag([aug.distractor])])
+    return augmented_bag_loss(model, aug, gamma, X)
 
 
-def _step_loss(model, base, augs, gamma, distractor_term):
-    """The objective of one --ld training step, as training.train_model builds it."""
+def _separate_step_loss(model, base, augs, gamma):
+    """Reference: one --ld step objective that encodes the base bag for its
+    BCE forward and again, with the distractor, for each term."""
     fwd = model.forward_bag(base)
     loss = bce_loss(fwd.logits, label_vector(base, model.cfg.n_relations))
     if model.cfg.kind == KIND_DIRECTSUP:
         loss = ad.add(loss, relevance_loss(
             fwd.alphas, [s.relevance_label for s in base.sentences]))
-    return combined_loss(loss, [distractor_term(model, aug, gamma, fwd) for aug in augs], 1.0)
+    return combined_loss(loss, [_separate_encoding_loss(model, aug, gamma) for aug in augs], 1.0)
 
 
 def _two_relation_case(kind, fusion, seed):
@@ -387,15 +385,17 @@ KINDS = [("cnns-att", False), ("cnns-att", True), ("directsup", False), ("direct
 
 
 class TestSharedEncodings:
-    """augmented_bag_loss pools the distractor with the BCE forward's cached
-    encodings instead of encoding the base bag again."""
+    """A --ld step encodes the base bag and all its distractors in one
+    encoder call, and each term reads its rows of that stack."""
 
     @pytest.mark.parametrize("kind,fusion", KINDS)
     def test_shared_loss_equals_standalone_and_separate(self, kind, fusion):
         model, base, augs = _two_relation_case(kind, fusion, seed=3)
-        fwd = model.forward_bag(base)
-        for aug in augs:
-            shared = float(augmented_bag_loss(model, aug, 0.05, fwd).data)
+        n = len(base.sentences)
+        X = model.encode_bag(base.sentences + tuple(aug.distractor for aug in augs))
+        for j, aug in enumerate(augs):
+            rows = ad.take(X, np.append(np.arange(n), n + j))
+            shared = float(augmented_bag_loss(model, aug, 0.05, rows).data)
             assert shared == float(augmented_bag_loss(model, aug, 0.05).data)
             assert shared == float(_separate_encoding_loss(model, aug, 0.05).data)
 
@@ -404,11 +404,9 @@ class TestSharedEncodings:
         # the same terms summed in another order: equal up to rounding
         model, base, augs = _two_relation_case(kind, fusion, seed=5)
         params = list(model.trainable_params().values())
-        shared = ad.grad(_step_loss(model, base, augs, 0.5, augmented_bag_loss), params,
-                         create_graph=False)
-        separate = ad.grad(_step_loss(
-            model, base, augs, 0.5, lambda m, a, g, fwd: _separate_encoding_loss(m, a, g)),
-            params, create_graph=False)
+        shared = ad.grad(_step_loss(model, base, augs, 0.5, 1.0), params, create_graph=False)
+        separate = ad.grad(_separate_step_loss(model, base, augs, 0.5), params,
+                           create_graph=False)
         for a, b in zip(shared, separate):
             np.testing.assert_allclose(a.data, b.data, rtol=1e-12, atol=0.0)
 
@@ -417,19 +415,19 @@ class TestSharedEncodings:
         model, base, augs = _two_relation_case(kind, False, seed)
         probe = {n: model.params[n] for n in
                  ("head.rel", "head.bias", "enc.w2.filters", "embed.pos_i")}
-        check_param_grads(lambda: _step_loss(model, base, augs, 0.5, augmented_bag_loss),
+        check_param_grads(lambda: _step_loss(model, base, augs, 0.5, 1.0),
                           probe, tol=1e-3)
 
     def test_rejects_a_forward_of_another_bag(self):
         model, base, augs = _two_relation_case("cnns-att", False, seed=1)
-        fwd = model.forward_sentences(base.sentences[:2], base.entity_i, base.entity_j)
-        with pytest.raises(ValueError, match="2 encodings"):
-            augmented_bag_loss(model, augs[0], 0.5, fwd)
+        X = model.encode_bag(base.sentences)  # the distractor's row is missing
+        with pytest.raises(ValueError, match="3 encodings"):
+            augmented_bag_loss(model, augs[0], 0.5, X)
 
     def test_ld_step_encodes_each_sentence_once(self, monkeypatch):
         # N = 3 sentences, R = 2 relations: N + R encoded sentences (not
-        # N + R (N + 1)), in one encoder call for the bag and one per
-        # distractor; the negative bag's M = 2 sentences are its own step
+        # N + R (N + 1)), in one encoder call for the bag and its
+        # distractors; the negative bag's M = 2 sentences are its own step
         _, base, _ = _two_relation_case("cnns-att", False, seed=2)
         negative = bag("neg", set(), [sent([5, 6, 7, 8]), sent([9, 10, 11, 12])])
         calls = []
@@ -444,7 +442,36 @@ class TestSharedEncodings:
         train_model(model, [base, negative],
                     TrainConfig(epochs=1, lr=0.01, val_fraction=0.0, ld=True))
         assert sum(calls) == (3 + 2) + 2
-        assert len(calls) == (1 + 2) + 1
+        assert len(calls) == 1 + 1
+
+
+class TestFirstOrderStep:
+    @pytest.mark.parametrize("kind,fusion", KINDS)
+    def test_ld_epoch_runs_no_vjp_while_recording(self, monkeypatch, kind, fusion):
+        # a VJP that runs with recording on builds a gradient of a gradient;
+        # one --ld epoch, distractor terms included, must build none
+        states = []
+        topo_order = ad._topo_order
+
+        def spy(vjp):
+            def run(g):
+                states.append(ad._recording)
+                return vjp(g)
+            return run
+
+        def spying(root):
+            order = topo_order(root)
+            for node in order:
+                if node._vjp is not None:
+                    node._vjp = spy(node._vjp)
+            return order
+
+        monkeypatch.setattr(ad, "_topo_order", spying)
+        model, base, _ = _two_relation_case(kind, fusion, seed=2)
+        negative = bag("neg", set(), [sent([5, 6, 7, 8], relevance=False)])
+        train_model(model, [base, negative],
+                    TrainConfig(epochs=1, lr=0.01, val_fraction=0.0, ld=True))
+        assert states and not any(states)
 
 
 class TestGraphSize:
@@ -452,13 +479,14 @@ class TestGraphSize:
     grows the graph shows here. Three sentences labelled {0, 2}, one
     6-token distractor per relation."""
 
-    # (kind, fusion) -> nodes after the forward, after the loss, after the --ld loss;
-    # each encode call (the base bag, then one per distractor) is one node
+    # (kind, fusion) -> nodes of the forward, of the forward and loss, and of
+    # the whole --ld step objective; each encode call is one node, and the
+    # --ld step makes one for the bag and its distractors together
     NODES = {
-        ("cnns-att", False): (11, 22, 111),
-        ("cnns-att", True): (21, 32, 159),
-        ("directsup", False): (11, 33, 124),
-        ("directsup", True): (21, 43, 172),
+        ("cnns-att", False): (11, 22, 52),
+        ("cnns-att", True): (21, 32, 88),
+        ("directsup", False): (11, 33, 59),
+        ("directsup", True): (21, 43, 95),
     }
 
     @pytest.mark.parametrize("kind,fusion", list(NODES))
@@ -489,6 +517,7 @@ class TestGraphSize:
             loss = ad.add(loss, relevance_loss(fwd.alphas,
                                                [s.relevance_label for s in base.sentences]))
         counts.append(len(recorded))
-        combined_loss(loss, [augmented_bag_loss(model, aug, 1e-5, fwd) for aug in augs], 1.0)
+        recorded.clear()
+        _step_loss(model, base, augs, 1e-5, 1.0)
         counts.append(len(recorded))
         assert tuple(counts) == self.NODES[(kind, fusion)]

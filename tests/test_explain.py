@@ -8,10 +8,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relexpl import autodiff as ad
 from relexpl.autodiff import Tensor
 from relexpl.corpus import Bag, ReprMode, Sentence
+from relexpl.distractor import AugmentedBag, augmented_bag_loss, distractor_loss
 from relexpl.encoder import EncoderConfig, SentenceEncoder
 from relexpl.explain import (
     METHODS,
@@ -29,7 +32,7 @@ from relexpl.explain import (
 )
 from relexpl.models import BagForward, ModelConfig, RelationModel
 
-from conftest import predict_k
+from conftest import double_backprop_gi, predict_k
 
 # Test ids keep the names of the classes each kind once had, so that every
 # test's history carries over to the one model class.
@@ -101,8 +104,9 @@ class TestAnalyticLinearHead:
 
 
 class TestHandBuiltGraph:
-    """gi_vector and encoding_gradient on a hand-assembled forward record
-    simple enough that the answer reduces to a dot product."""
+    """The double-backprop gradient×input oracle and encoding_gradient on a
+    hand-assembled forward record simple enough that the answer reduces to
+    a dot product."""
 
     def summed_forward(self, rows):
         # o_0 = w . (x_0 + x_1 + ...): each sentence's gradient is w itself
@@ -114,7 +118,7 @@ class TestHandBuiltGraph:
 
     def test_zero_row_gets_zero_attribution(self):
         fwd = self.summed_forward([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        np.testing.assert_allclose(gi_vector(fwd, 0).data, [0.0, 2.0], atol=1e-15)
+        np.testing.assert_allclose(double_backprop_gi(fwd, 0).data, [0.0, 2.0], atol=1e-15)
 
     def test_gradient_rows_equal_weight_vector(self):
         fwd = self.summed_forward([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
@@ -128,7 +132,7 @@ class TestHandBuiltGraph:
         logits = ad.matmul(W, ad.reduce_sum(X, 0))
         fwd = BagForward(X=X, alphas=None, reps=None, logits=logits,
                          probs=np.zeros(1))
-        gi = gi_vector(fwd, 0)
+        gi = double_backprop_gi(fwd, 0)
         (gW,) = ad.grad(ad.reduce_sum(gi), [W])
         # d/dW of sum_n w.x_n = sum of the rows of X
         np.testing.assert_allclose(gW.data, X.data.sum(axis=0, keepdims=True),
@@ -139,6 +143,76 @@ class TestHandBuiltGraph:
                          logits=Tensor(np.zeros(1)), probs=np.zeros(1))
         with pytest.raises(ValueError):
             encoding_gradient(fwd, 0)
+
+
+def _oracle_ld_loss(model, aug, gamma, X):
+    """The --ld loss with gradient×input from the double-backprop oracle."""
+    fwd = model.forward_encodings(X, aug.base.entity_i, aug.base.entity_j)
+    gi = double_backprop_gi(fwd, aug.relation)
+    n = X.shape[0] - 1
+    return distractor_loss(ad.take(gi, slice(0, n)), ad.take(gi, n), gamma)
+
+
+def _assert_relatively_close(got, want, tol=1e-12):
+    scale = np.abs(want).max(initial=0.0)
+    assert np.abs(got - want).max(initial=0.0) <= tol * scale, (got, want)
+
+
+class TestClosedFormGI:
+    """gi_vector's closed form against the double-backprop oracle on the same
+    (N + 1, d) stack: the values for every relation, and the parameter
+    gradients of the --ld loss built on each, to 1e-12 relative."""
+
+    @staticmethod
+    def case(kind, fusion, n_base, seed, relation, duplicate=False):
+        """A model and a base bag of n_base sentences with one distractor; with
+        duplicate the second row repeats the first, so max-pooling ties."""
+        cfg = model_cfg(kind=kind, K=3, fusion=fusion, n_entities=4 if fusion else 0,
+                        widths=(2, 3), channels=3)
+        model = RelationModel(cfg, seed=seed)
+        sentences = list(make_bag(n_sent=n_base + 1, seed=seed).sentences)
+        if duplicate:
+            sentences[1] = sentences[0]
+        base = Bag(bag_id="b", entity_i=seed % 4, entity_j=(seed + 1) % 4, fget_i=0,
+                   fget_j=1, relations=frozenset({0, 2}), sentences=tuple(sentences[:-1]))
+        return model, AugmentedBag(base, relation, sentences[-1]), model.encode_bag(sentences)
+
+    @staticmethod
+    def check(model, aug, X):
+        ei, ej = aug.base.entity_i, aug.base.entity_j
+        fwd = model.forward_encodings(X, ei, ej)
+        for k in range(model.cfg.n_relations):
+            _assert_relatively_close(gi_vector(model, X, k, ei, ej).data,
+                                     double_backprop_gi(fwd, k).data)
+        params = list(model.trainable_params().values())
+        got = ad.grad(augmented_bag_loss(model, aug, 0.5, X), params, create_graph=False)
+        want = ad.grad(_oracle_ld_loss(model, aug, 0.5, X), params, create_graph=False)
+        for g, w in zip(got, want):
+            _assert_relatively_close(g.data, w.data)
+
+    @given(kind=st.sampled_from(list(CLASS_NAMES)), fusion=st.booleans(),
+           n_base=st.integers(1, 6), seed=st.integers(0, 10 ** 4),
+           relation=st.sampled_from([0, 2]), duplicate=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_double_backprop(self, kind, fusion, n_base, seed, relation, duplicate):
+        # duplicated rows are drawn for directsup, whose max-pool breaks their ties
+        self.check(*self.case(kind, fusion, n_base, seed, relation,
+                              duplicate and kind == "directsup"))
+
+    @pytest.mark.parametrize("fusion", [False, True])
+    def test_directsup_max_pool_ties(self, fusion):
+        model, aug, X = self.case("directsup", fusion, 4, seed=3, relation=2, duplicate=True)
+        np.testing.assert_array_equal(X.data[0], X.data[1])  # every column ties
+        self.check(model, aug, X)
+
+    @pytest.mark.parametrize("kind", list(CLASS_NAMES))
+    def test_fusion_mask_partly_off(self, kind):
+        model, aug, X = self.case(kind, True, 4, seed=1, relation=0)
+        reps = model.forward_encodings(X, aug.base.entity_i, aug.base.entity_j).reps
+        row = reps.data[:1] if kind == "directsup" else reps.data[aug.relation][None]
+        mask = model._fuse(Tensor(row), aug.base.entity_i, aug.base.entity_j).data > 0.0
+        assert 0 < mask.sum() < mask.size
+        self.check(model, aug, X)
 
 
 class TestFiniteDifferenceOracle:
