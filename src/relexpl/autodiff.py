@@ -1,62 +1,51 @@
-"""Minimal reverse-mode tensor engine.
+"""Minimal reverse-mode tensor engine, differentiable once.
 
-Every operation records its inputs and a VJP rule; the VJP rules are built
-out of the same operations, so gradients can themselves be differentiable
-graphs. Training does not use that: the distractor loss's
-gradient-x-input is built in closed form (explain.gi_vector), so every
-training gradient is first-order. The test suite checks that closed form
-against a gradient of a gradient.
+Every operation records its inputs and a VJP rule written in numpy: the
+rule maps the output gradient, an array, to one array (or None) per
+input. Gradients are therefore first-order, and taking one makes no graph
+node. Training needs no more: the distractor loss's gradient-x-input is a
+closed form with its derivative written out (explain.gi_vector), so no
+gradient of a gradient is taken.
 
-The ops: add, sub, mul; relu, absolute, clamp, sigmoid, log, reciprocal;
-broadcast_to, sum_to, reshape; transpose, matmul; reduce_sum, rows_max,
-softmax; take, put, concat. first_order makes a node whose VJP is plain
-numpy, for a caller that computes its own forward and backward (the
-sentence encoder, the closed-form gradient-x-input). Gradients are functional: grad(root, wrt) returns
-d(root)/d(t) for each t in wrt and changes no tensor.
-
-grad(root, wrt, create_graph=True) returns differentiable gradients.
-With create_graph=False the VJPs run with recording off: every op still
-computes the same numpy result, but its output is a bare tensor with no
-parents and no VJP, so no graph of the backward pass is built or kept.
-backward(root, wrt) is that first-order grad as plain arrays, the form
-an optimizer step reads. A first_order node serves only that pass: asked
-to record a graph, its VJP raises GraphError.
+The ops: add, sub, mul; relu, absolute, clamp, sigmoid, log;
+broadcast_to, reshape; transpose, matmul; reduce_sum, rows_max, softmax;
+take, concat. first_order makes a node from a caller's own numpy forward
+and VJP (the sentence encoder, the closed-form gradient-x-input).
+Gradients are functional: grad(root, wrt) returns d(root)/d(t) for each t
+in wrt as bare tensors, and backward(root, wrt) the same as plain arrays,
+the form an optimizer step reads. Neither changes a tensor.
 
 Design notes:
   * float64 everywhere; gradient checking demands the precision.
   * add, sub and mul broadcast like numpy, and a python float or a numpy
     array operand is a constant Tensor. Their VJPs sum the incoming
-    gradient back to each operand's shape with sum_to, the adjoint of
-    broadcast_to; sum_to returns a tensor of the right shape unchanged, so
-    same-shape arithmetic adds no node to the backward graph. They return
-    None for an operand that does not require grad: no constant gets a
-    gradient computed.
+    gradient back to each operand's shape (_sum_to, the adjoint of
+    broadcasting) and return None for an operand that does not require
+    grad: no constant gets a gradient computed.
   * matmul takes a 2-d left operand and a 2-d or 1-d right one, as numpy's
     @ does; the adjoint of a matrix-vector product's matrix is the
-    broadcasting product of g as a column with the vector.
+    broadcasting product of g as a column with the vector. VJPs transpose
+    into contiguous copies: on a view BLAS takes another path, and the
+    gradient's bits would change.
   * take(a, index) copies a.data[index] for an int, a slice, a tuple of
     them or an int array; int arrays are range-checked, and negative ids
-    raise IndexError instead of wrapping. Its adjoint put(v, index, shape)
-    writes v into zeros of that shape and sums the rows an int array
-    repeats. All indexing in the engine (slices, zero padding, single rows
-    and elements, embedding lookups and their scatters) is one of the two.
+    raise IndexError instead of wrapping. Its VJP writes the gradient into
+    zeros of a's shape (_put), summing the rows an int array repeats. All
+    indexing in the engine (slices, single rows and elements, embedding
+    lookups) is take.
   * rows_max breaks ties toward the lowest row and treats the winner
     selection as constant during differentiation; a vector's max is take
     at its np.argmax.
-  * sigmoid, softmax and reciprocal differentiate through their own
-    output; their VJPs hold it by weak reference (a VJP only runs while its
-    node is alive), so a graph holds no reference cycle and is freed as
-    soon as its root is dropped, without the cyclic garbage collector.
-  * Recording is one module-level flag that _node reads; grad sets it
-    for the duration of its VJP calls and restores it in a finally, so a
-    VJP that raises leaves recording as it was.
+  * A VJP closes over arrays, never over its own node, so a graph holds no
+    reference cycle and is freed as soon as its root is dropped.
+  * _sigmoid_np is sigmoid's forward on arrays, for the callers that need
+    the same sigmoid outside a graph.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import weakref
 
 import numpy as np
 
@@ -80,7 +69,7 @@ class GraphError(RuntimeError):
 class Tensor:
     """Dense float64 array participating in a differentiable graph."""
 
-    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_op", "__weakref__")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -105,15 +94,9 @@ class Tensor:
         return f"Tensor(op={self._op}, shape={self.shape})"
 
 
-# False while grad(create_graph=False) runs its VJPs: _node then records nothing
-_recording = True
-
-
 def _node(data, parents, vjp, op: str) -> Tensor:
     out = Tensor(data)
     out._op = op
-    if not _recording:
-        return out
     out._parents = tuple(parents)
     out._vjp = vjp
     for p in parents:  # a loop: no generator per node
@@ -128,20 +111,14 @@ def _as_tensor(x) -> Tensor:
 
 
 def first_order(data, parents, vjp, op: str) -> Tensor:
-    """A node over parents whose VJP is plain numpy, differentiable once.
+    """A node over parents from a caller's own numpy forward and VJP.
 
     vjp maps the output gradient, an array, to one array (or None) per
-    parent. Arrays carry no graph, so a grad(..., create_graph=True) that
-    crosses the node raises GraphError naming op; the first-order grad,
-    create_graph=False, is the only one it serves.
+    parent, as every op's VJP does.
     """
-    def checked(g):
-        if _recording:
-            raise GraphError(f"{op} is a first-order node: its gradient cannot be "
-                             "differentiated again; take it with create_graph=False")
-        return tuple(None if c is None else Tensor(c) for c in vjp(g.data))
-
-    return _node(data, parents, checked, op)
+    # a function of its own, not an alias: a tracer that wraps the public
+    # functions and patches _node then counts each node once
+    return _node(data, parents, vjp, op)
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +132,22 @@ def _broadcast(ufunc, op: str, a: Tensor, b: Tensor) -> np.ndarray:
         raise ShapeMismatchError(op, a.shape, b.shape) from None
 
 
+def _sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum g down to `shape`, the adjoint of broadcasting; g itself if it has that shape."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, s in enumerate(shape) if s == 1 and g.shape[lead + i] != 1)
+    return g.sum(axis=axes, keepdims=True).reshape(shape)
+
+
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     sa, sb = a.shape, b.shape
     ra, rb = a.requires_grad, b.requires_grad
     return _node(_broadcast(np.add, "add", a, b), (a, b),
-                 lambda g: (sum_to(g, sa) if ra else None, sum_to(g, sb) if rb else None),
+                 lambda g: (_sum_to(g, sa) if ra else None, _sum_to(g, sb) if rb else None),
                  "add")
 
 
@@ -169,72 +156,59 @@ def sub(a, b) -> Tensor:
     sa, sb = a.shape, b.shape
     ra, rb = a.requires_grad, b.requires_grad
     return _node(_broadcast(np.subtract, "sub", a, b), (a, b),
-                 lambda g: (sum_to(g, sa) if ra else None,
-                            mul(sum_to(g, sb), -1.0) if rb else None), "sub")
+                 lambda g: (_sum_to(g, sa) if ra else None,
+                            _sum_to(g, sb) * -1.0 if rb else None), "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     return _node(_broadcast(np.multiply, "mul", a, b), (a, b),
-                 lambda g: (sum_to(mul(g, b), a.shape) if a.requires_grad else None,
-                            sum_to(mul(g, a), b.shape) if b.requires_grad else None), "mul")
+                 lambda g: (_sum_to(g * b.data, a.shape) if a.requires_grad else None,
+                            _sum_to(g * a.data, b.shape) if b.requires_grad else None), "mul")
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = (a.data > 0.0).astype(np.float64)
-    return _node(a.data * mask, (a,), lambda g: (mul(g, mask),), "relu")
+    return _node(a.data * mask, (a,), lambda g: (g * mask,), "relu")
 
 
 def absolute(a) -> Tensor:
     a = _as_tensor(a)
     sign = np.sign(a.data)
-    return _node(np.abs(a.data), (a,), lambda g: (mul(g, sign),), "absolute")
+    return _node(np.abs(a.data), (a,), lambda g: (g * sign,), "absolute")
 
 
 def clamp(a, lo: float, hi: float) -> Tensor:
     """Clip into [lo, hi]; gradient passes only where lo <= x <= hi."""
     a = _as_tensor(a)
     mask = ((a.data >= lo) & (a.data <= hi)).astype(np.float64)
-    return _node(np.clip(a.data, lo, hi), (a,), lambda g: (mul(g, mask),), "clamp")
+    return _node(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,), "clamp")
 
 
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    x = a.data
+def _sigmoid_np(x: np.ndarray) -> np.ndarray:
+    """The logistic function on an array, without overflow for large |x|."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    node = _node(out, (a,), None, "sigmoid")
-    ref = weakref.ref(node)
+    return out
 
-    def vjp(g):
-        y = ref()
-        d = mul(y, sub(1.0, y))  # y * (1 - y), kept in-graph
-        return (mul(g, d),)
 
-    node._vjp = vjp
-    return node
+def sigmoid(a) -> Tensor:
+    a = _as_tensor(a)
+    y = _sigmoid_np(a.data)
+    return _node(y, (a,), lambda g: (g * (y * (1.0 - y)),), "sigmoid")
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    return _node(np.log(a.data), (a,), lambda g: (mul(g, reciprocal(a)),), "log")
-
-
-def reciprocal(a) -> Tensor:
-    a = _as_tensor(a)
-    node = _node(1.0 / a.data, (a,), None, "reciprocal")
-    if _recording:  # log's VJP builds this op; unrecorded, it keeps no VJP
-        ref = weakref.ref(node)
-        node._vjp = lambda g: (mul(mul(g, mul(ref(), ref())), -1.0),)
-    return node
+    return _node(np.log(a.data), (a,), lambda g: (g * (1.0 / a.data),), "log")
 
 
 # ---------------------------------------------------------------------------
-# shape: broadcasting and its adjoint, reshaping
+# shape: broadcasting and reshaping
 # ---------------------------------------------------------------------------
 
 def broadcast_to(a, shape) -> Tensor:
@@ -245,22 +219,7 @@ def broadcast_to(a, shape) -> Tensor:
         out = np.broadcast_to(a.data, shape).copy()
     except ValueError:
         raise ShapeMismatchError("broadcast_to", a.shape, shape) from None
-    return _node(out, (a,), lambda g: (sum_to(g, a.shape),), "broadcast_to")
-
-
-def sum_to(a, shape) -> Tensor:
-    """Sum a down to `shape`, the adjoint of broadcast_to; a itself if it has that shape."""
-    a = _as_tensor(a)
-    shape = tuple(shape)
-    if a.shape == shape:
-        return a
-    lead = a.ndim - len(shape)
-    if lead < 0 or any(s not in (1, n) for s, n in zip(shape, a.shape[lead:])):
-        raise ShapeMismatchError("sum_to", a.shape, shape)
-    axes = tuple(range(lead)) + tuple(
-        lead + i for i, s in enumerate(shape) if s == 1 and a.shape[lead + i] != 1)
-    out = a.data.sum(axis=axes, keepdims=True).reshape(shape)
-    return _node(out, (a,), lambda g: (broadcast_to(g, a.shape),), "sum_to")
+    return _node(out, (a,), lambda g: (_sum_to(g, a.shape),), "broadcast_to")
 
 
 def reshape(a, shape) -> Tensor:
@@ -270,7 +229,7 @@ def reshape(a, shape) -> Tensor:
         out = a.data.reshape(shape)
     except ValueError:
         raise ShapeMismatchError("reshape", src, tuple(shape)) from None
-    return _node(out, (a,), lambda g: (reshape(g, src),), "reshape")
+    return _node(out, (a,), lambda g: (g.reshape(src),), "reshape")
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +240,8 @@ def transpose(a) -> Tensor:
     a = _as_tensor(a)
     if a.ndim != 2:
         raise ShapeMismatchError("transpose", a.shape, ("m", "n"))
-    return _node(np.ascontiguousarray(a.data.T), (a,), lambda g: (transpose(g),), "transpose")
+    return _node(np.ascontiguousarray(a.data.T), (a,),
+                 lambda g: (np.ascontiguousarray(g.T),), "transpose")
 
 
 def matmul(a, b) -> Tensor:
@@ -291,8 +251,9 @@ def matmul(a, b) -> Tensor:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
     rows = (a.shape[0], 1)  # for a 1-d b, d(a @ b)/da is the outer product of g and b
     return _node(a.data @ b.data, (a, b),
-                 lambda g: (mul(reshape(g, rows), b) if b.ndim == 1 else matmul(g, transpose(b)),
-                            matmul(transpose(a), g)), "matmul")
+                 lambda g: (g.reshape(rows) * b.data if b.ndim == 1
+                            else g @ np.ascontiguousarray(b.data.T),
+                            np.ascontiguousarray(a.data.T) @ g), "matmul")
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +271,8 @@ def reduce_sum(a, axis: int | None = None) -> Tensor:
     # g lines up with the trailing axes of a unless an axis before the summed one survives
     kept = shape[:axis] + (1,) + shape[axis + 1:] if axis else None
     return _node(np.sum(a.data, axis=axis), (a,),
-                 lambda g: (broadcast_to(g if kept is None else reshape(g, kept), shape),),
-                 "reduce_sum")
+                 lambda g: (np.broadcast_to(g if kept is None else g.reshape(kept),
+                                            shape).copy(),), "reduce_sum")
 
 
 def rows_max(m) -> Tensor:
@@ -322,7 +283,7 @@ def rows_max(m) -> Tensor:
     vals, idx = kernels.rows_max(np.ascontiguousarray(m.data))
     index = (idx, np.arange(m.shape[1]))
     shape = m.shape
-    return _node(vals, (m,), lambda g: (put(g, index, shape),), "rows_max")
+    return _node(vals, (m,), lambda g: (_put(g, index, shape),), "rows_max")
 
 
 def softmax(a) -> Tensor:
@@ -331,19 +292,12 @@ def softmax(a) -> Tensor:
     if a.size == 0 or a.ndim not in (1, 2):
         raise ShapeMismatchError("softmax", a.shape, (0,))
     e = np.exp(a.data - a.data.max(axis=0, keepdims=True))
-    node = _node(e / e.sum(axis=0, keepdims=True), (a,), None, "softmax")
-    ref = weakref.ref(node)
-
-    def vjp(g):
-        y = ref()
-        return (mul(y, sub(g, reduce_sum(mul(g, y), 0))),)
-
-    node._vjp = vjp
-    return node
+    y = e / e.sum(axis=0, keepdims=True)
+    return _node(y, (a,), lambda g: (y * (g - np.sum(g * y, axis=0)),), "softmax")
 
 
 # ---------------------------------------------------------------------------
-# selection: take and its adjoint put, concatenation
+# selection: take and its adjoint, concatenation
 # ---------------------------------------------------------------------------
 
 def take(a, index) -> Tensor:
@@ -357,32 +311,24 @@ def take(a, index) -> Tensor:
     if not isinstance(index, np.ndarray):
         out = out.copy()  # a basic index gives a view; own the data
     shape = a.shape
-    return _node(out, (a,), lambda g: (put(g, index, shape),), "take")
+    return _node(out, (a,), lambda g: (_put(g, index, shape),), "take")
 
 
-def put(v, index, shape) -> Tensor:
+def _put(v: np.ndarray, index, shape: tuple) -> np.ndarray:
     """Zeros of `shape` holding v at index, the adjoint of take.
 
     Rows an int array repeats are summed (kernels.scatter_add_rows); a
-    tuple holding int arrays accumulates in index order as well. The ids
-    are not checked again: they come from take or from the engine itself.
+    tuple holding int arrays accumulates in index order as well.
     """
-    v = _as_tensor(v)
-    shape = tuple(shape)
     if isinstance(index, np.ndarray):
-        if v.shape != index.shape + shape[1:]:
-            raise ShapeMismatchError("put", v.shape, shape)
-        rows = np.ascontiguousarray(v.data.reshape(index.size, math.prod(shape[1:])))
-        out = kernels.scatter_add_rows(shape[0], index.reshape(-1), rows).reshape(shape)
+        rows = np.ascontiguousarray(v.reshape(index.size, math.prod(shape[1:])))
+        return kernels.scatter_add_rows(shape[0], index.reshape(-1), rows).reshape(shape)
+    out = np.zeros(shape)
+    if isinstance(index, tuple) and any(isinstance(p, np.ndarray) for p in index):
+        np.add.at(out, index, v)
     else:
-        out = np.zeros(shape)
-        if out[index].shape != v.shape:
-            raise ShapeMismatchError("put", v.shape, shape)
-        if isinstance(index, tuple) and any(isinstance(p, np.ndarray) for p in index):
-            np.add.at(out, index, v.data)
-        else:
-            out[index] = v.data
-    return _node(out, (v,), lambda g: (take(g, index),), "put")
+        out[index] = v
+    return out
 
 
 def concat(parts, axis: int = 0) -> Tensor:
@@ -395,7 +341,7 @@ def concat(parts, axis: int = 0) -> Tensor:
     lead = (slice(None),) * (axis % out.ndim)
     bounds = list(itertools.accumulate((p.shape[len(lead)] for p in parts), initial=0))
     index = [lead + (slice(lo, hi),) for lo, hi in zip(bounds, bounds[1:])]
-    return _node(out, parts, lambda g: tuple(take(g, i) for i in index), "concat")
+    return _node(out, parts, lambda g: tuple(g[i].copy() for i in index), "concat")
 
 
 # ---------------------------------------------------------------------------
@@ -422,17 +368,12 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def grad(root: Tensor, wrt, create_graph: bool = True) -> list[Tensor]:
+def grad(root: Tensor, wrt) -> list[Tensor]:
     """Gradients of a scalar root w.r.t. each tensor in wrt, which must require grad.
 
-    With create_graph (the default) the returned tensors are graph nodes,
-    so expressions built from them (gradient-x-input, saliency-style
-    penalties) can be backpropagated in turn. With create_graph=False the
-    VJPs run unrecorded and return bare tensors holding the same values,
-    bit for bit, at the cost of a first-order pass only. Tensors that do
-    not participate in the graph get zeros. No tensor is changed.
+    Each gradient is a bare tensor, with no parents and no VJP. Tensors
+    that do not participate in the graph get zeros. No tensor is changed.
     """
-    global _recording
     if root.size != 1:
         raise GraphError(f"grad root must be scalar, got shape {root.shape}")
     wrt = list(wrt)
@@ -452,28 +393,20 @@ def grad(root: Tensor, wrt, create_graph: bool = True) -> list[Tensor]:
         if key in target_ids:
             needed.add(key)
 
-    grads: dict[int, Tensor] = {id(root): Tensor(np.ones_like(root.data))}
-    was_recording = _recording
-    _recording = bool(create_graph)
-    try:
-        for node in reversed(order):
-            key = id(node)
-            if key not in feeds or node._vjp is None:
+    grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
+    for node in reversed(order):
+        key = id(node)
+        g = grads.get(key) if key in feeds else None
+        if g is None:
+            continue
+        for p, c in zip(node._parents, node._vjp(g)):
+            if c is None or id(p) not in needed:
                 continue
-            g = grads.get(key)
-            if g is None:
-                continue
-            contribs = node._vjp(g)
-            for p, c in zip(node._parents, contribs):
-                if c is None or id(p) not in needed:
-                    continue
-                prev = grads.get(id(p))
-                grads[id(p)] = c if prev is None else add(prev, c)
-    finally:
-        _recording = was_recording
-    return [grads[id(t)] if id(t) in grads else Tensor(np.zeros_like(t.data)) for t in wrt]
+            prev = grads.get(id(p))
+            grads[id(p)] = c if prev is None else prev + c
+    return [Tensor(grads[id(t)] if id(t) in grads else np.zeros_like(t.data)) for t in wrt]
 
 
 def backward(root: Tensor, wrt) -> list[np.ndarray]:
-    """d(root)/d(t) for each t in wrt as plain arrays: grad with create_graph=False."""
-    return [g.data for g in grad(root, wrt, create_graph=False)]
+    """d(root)/d(t) for each t in wrt as plain arrays, the form an optimizer step reads."""
+    return [g.data for g in grad(root, wrt)]

@@ -276,7 +276,7 @@ def cmd_avg(args, stamp: dict) -> int:
     for m in runs[1:]:
         shared &= set(m)
     mean = {}
-    for key in sorted(shared):
+    for key in sorted(shared - set(stamp)):  # the stamp names a run; it is no metric
         values = [m[key] for m in runs]
         if all(isinstance(v, (int, float)) and not isinstance(v, bool)
                for v in values):

@@ -12,10 +12,11 @@ the distractor's attribution near zero (absolute-value term):
     l_d = max(0, gamma + GI_distractor - max_n GI_n) + |GI_distractor|
 
 GI here is gradient-times-input, which itself contains a gradient of the
-logit. For the two poolings it has a closed form (explain.gi_vector), one
-first-order node whose VJP is that form's derivative, so the loss's
-parameter gradient is an ordinary first-order backward: no gradient of a
-gradient is taken.
+logit, so the loss's parameter gradient is a second derivative of the
+logits. The engine differentiates once; for the two poolings GI has a
+closed form (explain.gi_vector), one node whose VJP is that form's
+derivative written out, so that second derivative is an ordinary
+backward.
 
 A training step encodes the bag and all its distractors in one encoder
 call. The classification loss reads the bag's N rows of that stack; the
@@ -144,21 +145,17 @@ def distractor_loss(gi_original: Tensor, gi_distractor: Tensor, gamma: float) ->
 
 
 def augmented_bag_loss(model: RelationModel, aug: AugmentedBag, gamma: float,
-                       X: Tensor | None = None) -> Tensor:
+                       X: Tensor) -> Tensor:
     """Distractor loss for one (bag, relation) over the augmented bag's encodings.
 
-    X, if given, is the (N + 1, d) stack of the base bag's encodings with
-    the distractor's last, as training takes it out of the step's one
-    encoder call; without it the base bag and the distractor are encoded
-    here, in one call. Sentence encodings do not depend on the batch, so
-    both give the same loss bit for bit.
+    X is the (N + 1, d) stack of the base bag's encodings with the
+    distractor's last, as training takes it out of the step's one encoder
+    call.
     """
     base = aug.base
     n = len(base.sentences)
     if n == 0:
         raise ValueError("distractor loss needs a nonempty base bag")
-    if X is None:
-        X = model.encode_bag(base.sentences + (aug.distractor,))
     if X.shape[0] != n + 1:
         raise ValueError(f"stack holds {X.shape[0]} encodings, bag {base.bag_id!r} "
                          f"has {n} sentences and one distractor")

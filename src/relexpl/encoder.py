@@ -7,15 +7,12 @@ time; the pooled vectors are concatenated and passed through a ReLU, so
 sentence encodings are nonnegative.
 
 The encoder takes the sentences of a bag together and records them as one
-first-order engine node (autodiff.first_order): its forward is plain
-numpy, one gather per table, and per width one window gather, one GEMM
-call per sentence, one bias add and one per-sentence max. Each encoding
-is bit-identical to that of the sentence encoded alone. Its VJP is plain
-numpy too, so the encodings are differentiable once, which is all the
-training backward needs: the distractor loss's gradient×input is a
-closed form over the encodings (explain.gi_vector), not a gradient. The VJP
-forms the input gradient only for the columns of tables that require
-grad, so the frozen token table costs no backward work.
+engine node (autodiff.first_order) with its own numpy forward and VJP. The
+forward is one gather per table, and per width one window gather, one GEMM
+call per sentence, one bias add and one per-sentence max. Each encoding is
+bit-identical to that of the sentence encoded alone. The VJP forms the
+input gradient only for the columns of tables that require grad, so the
+frozen token table costs no backward work.
 
 The token table is shared between words and FGET types: type t lives at
 row vocab_size + t. Word/type rows stay frozen during training; position
@@ -153,7 +150,7 @@ class SentenceEncoder:
             table[idx] = vec
 
     def encode(self, items) -> Tensor:
-        """(N, out_dim) encodings, all >= 0, of N sentences as one first-order node.
+        """(N, out_dim) encodings, all >= 0, of N sentences as one engine node.
 
         items holds one (tokens, mention_i, mention_j) triple per sentence.
         The gathered rows of all sentences sit in one layout with
@@ -164,8 +161,8 @@ class SentenceEncoder:
         them. So every row is bit-identical to the sentence's encoding
         alone, whichever bag it sits in.
 
-        The node's VJP (see `_encode_vjp`) is plain numpy: the encodings
-        can be differentiated once, with grad(..., create_graph=False).
+        The node's VJP (see `_encode_vjp`) is written out in numpy, as the
+        engine's own VJPs are.
         """
         cfg = self.cfg
         sizes = [len(tokens) for tokens, _, _ in items]

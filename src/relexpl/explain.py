@@ -17,18 +17,20 @@ model: gradients are taken functionally.
 
 explain_corpus runs each positive bag forward once and every (relation,
 method) pair reads that forward: attention its weights, saliency and gi
-one first-order gradient per relation, taken on its graph without
-recording a graph of its own, and loo one re-pooling
-of its cached encoding stack per dropped sentence, whose K logits serve
+one gradient per relation, taken on its graph, and loo one re-pooling of
+its cached encoding stack per dropped sentence, whose K logits serve
 every relation. The forward memoizes both (BagForward.memo). Sentence
 encodings do not interact, so the re-pooled logits are exactly those of a
 fresh forward over the remaining sentences, and leave-one-out costs one
 pooling per sentence rather than a re-encoding of the bag per sentence.
 
-Distractor training needs gradient×input as a differentiable value.
-gi_vector gives it in closed form for the two poolings, as a first-order
-node with a numpy VJP, so that the training loss's parameter gradient is
-an ordinary first-order backward rather than a gradient of a gradient.
+Distractor training needs gradient×input as a differentiable value, and
+the engine differentiates once. gi_vector gives it in closed form for the
+two poolings, as one engine node whose VJP is the form's derivative
+written out in numpy, so the training loss's parameter gradient is an
+ordinary backward. The test suite checks the values against
+encoding_gradient times the encodings, and the VJP against the engine's
+own VJPs of the same form written in engine ops.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import jsonio, kernels
-from .autodiff import Tensor
+from .autodiff import Tensor, _sigmoid_np
 from .corpus import Bag
-from .models import KIND_DIRECTSUP, BagForward, RelationModel, _sigmoid_np
+from .models import KIND_DIRECTSUP, BagForward, RelationModel
 
 METHODS = ("attention", "saliency", "gi", "loo")
 
@@ -56,11 +58,10 @@ class ImportanceScores:
 
 
 def encoding_gradient(fwd: BagForward, k: int) -> Tensor:
-    """(N, d) gradient of the logit o_k w.r.t. the encoding stack, first-order:
-    the gradient is a bare tensor, with no graph of its own."""
+    """(N, d) gradient of the logit o_k w.r.t. the encoding stack, a bare tensor."""
     if fwd.X is None:
         raise ValueError("forward pass has no sentence encodings")
-    (gX,) = ad.grad(ad.take(fwd.logits, k), [fwd.X], create_graph=False)
+    (gX,) = ad.grad(ad.take(fwd.logits, k), [fwd.X])
     return gX
 
 
@@ -91,11 +92,11 @@ def gi_vector(model: RelationModel, X: Tensor, k: int, entity_i: int, entity_j: 
                  the max-pool (ties to the lowest row, as ad.rows_max),
                  t = (X * M) u_k, GI_n = alpha_n t_n (1 + (1 - alpha_n)(x_n . rel.w))
 
-    The result is one first-order node over X, the weighting parameters and
+    The result is one engine node over X, the weighting parameters and
     u_k, whose VJP is the derivative of these formulas in numpy; the
     max-pool winners and the fusion mask are constants to it, as they are
     to the engine's own gradients. The --ld loss's parameter gradient is
-    thus an ordinary first-order backward.
+    thus an ordinary backward.
     """
     model._check_k(k)
     p = model.params

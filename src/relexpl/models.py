@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import jsonio, optim
-from .autodiff import Tensor
+from .autodiff import Tensor, _sigmoid_np
 from .corpus import Bag, ReprMode, Sentence, apply_repr_mode
 from .encoder import EncoderConfig, SentenceEncoder, add_param
 
@@ -253,15 +253,6 @@ def load_model(path: str) -> tuple[RelationModel, dict]:
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
-
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
 
 def label_vector(bag: Bag, n_relations: int) -> np.ndarray:
     y = np.zeros(n_relations)

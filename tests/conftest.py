@@ -1,13 +1,16 @@
 """Shared test helpers: finite-difference oracles against the tensor engine,
 conv1d, the per-sentence convolution the encoder is checked against,
-predict_k, one relation's prediction from a fresh forward pass, and
-double_backprop_gi, the second-order oracle of the closed-form
-gradient×input."""
+predict_k, one relation's prediction from a fresh forward pass, and the
+two oracles of the closed-form gradient×input: engine_gi for its values
+and recorded_gi for its VJP."""
 
 import numpy as np
 
 from relexpl import autodiff as ad
+from relexpl import kernels
 from relexpl.autodiff import Tensor, grad
+from relexpl.explain import _logit_direction, encoding_gradient
+from relexpl.models import KIND_DIRECTSUP
 
 
 def numeric_grad(f, arrays, h=1e-5):
@@ -46,12 +49,10 @@ def check_param_grads(forward, params, h=1e-5, tol=1e-4):
     """FD-check gradients of a scalar forward() w.r.t. live parameter tensors.
 
     forward rebuilds the graph on each call and reads the params' current
-    .data, so central differences can perturb them in place. The engine
-    side is the first-order grad (create_graph=False), the one the
-    encoder's node serves.
+    .data, so central differences can perturb them in place.
     """
     targets = list(params.values())
-    engine = [g.data.copy() for g in grad(forward(), targets, create_graph=False)]
+    engine = [g.data.copy() for g in grad(forward(), targets)]
     for p, eng in zip(targets, engine):
         num = np.zeros_like(p.data)
         it = np.nditer(p.data, flags=["multi_index"])
@@ -100,7 +101,7 @@ def conv1d(x, filters, bias=None):
     length, c_in = x.shape
     width = filters.shape[0] // c_in
     before = (width - 1) // 2
-    padded = ad.put(x, slice(before, before + length), (length + width - 1, c_in))
+    padded = ad.concat([np.zeros((before, c_in)), x, np.zeros((width - 1 - before, c_in))])
     windows = np.arange(length)[:, None] + np.arange(width)  # (L, width) padded rows
     out = ad.matmul(ad.reshape(ad.take(padded, windows), (length, width * c_in)), filters)
     return out if bias is None else ad.add(out, bias)
@@ -112,12 +113,35 @@ def predict_k(model, bag, k):
     return float(fwd.probs[k]), float(fwd.logits.data[k])
 
 
-def double_backprop_gi(fwd, k):
-    """Per-sentence gradient×input of o_k on a forward, as a differentiable (N,) tensor.
+def engine_gi(fwd, k):
+    """Per-sentence gradient×input of o_k on a forward, as an (N,) array: the
+    engine's gradient of the logit times the encodings, row by row."""
+    return (encoding_gradient(fwd, k).data * fwd.X.data).sum(axis=1)
 
-    The gradient of the logit is itself a graph (create_graph=True), so the
-    value can be differentiated again: a second derivative of the logits,
-    against which explain.gi_vector's closed form is checked.
+
+def recorded_gi(model, X, k, entity_i, entity_j):
+    """explain.gi_vector's closed form written in engine ops, as an (N,) tensor.
+
+    Its values are gi_vector's, and its gradient is the one the engine
+    derives from its ops, so it is an oracle for gi_vector's hand-written
+    VJP. The max-pool winners and the fusion mask are constants here too.
     """
-    (gX,) = grad(ad.take(fwd.logits, k), [fwd.X], create_graph=True)
-    return ad.reduce_sum(ad.mul(gX, fwd.X), 1)
+    p = model.params
+    x = X.data
+    if model.cfg.kind == KIND_DIRECTSUP:
+        xw = ad.matmul(X, p["rel.w"])
+        a = ad.sigmoid(ad.add(xw, p["rel.b"]))
+        rep, winners = kernels.rows_max(x * a.data.reshape(-1, 1))
+        mask = np.zeros(x.shape)
+        mask[winners, np.arange(x.shape[1])] = 1.0
+        u = _logit_direction(model, rep, k, entity_i, entity_j)
+        t = ad.matmul(ad.mul(X, mask), u)
+        h = ad.add(ad.mul(ad.sub(1.0, a), xw), 1.0)
+        return ad.mul(ad.mul(a, t), h)
+    q = ad.mul(ad.take(p["att.query"], k), p["att.diag"])
+    z = ad.matmul(X, q)
+    a = ad.softmax(z)
+    u = _logit_direction(model, a.data @ x, k, entity_i, entity_j)
+    s = ad.matmul(X, u)
+    c = ad.sub(s, ad.reduce_sum(ad.mul(a, s)))
+    return ad.mul(a, ad.add(s, ad.mul(c, z)))

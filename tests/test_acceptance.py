@@ -123,13 +123,19 @@ def _op_cases(rng):
     rmax = rng.standard_normal((n, m))
     rmax[np.arange(n), rng.integers(0, m, n)] += 1.0
     col_idx = rng.integers(0, n, size=m)
-    row_ids = rng.integers(0, 5, size=n)          # repeats allowed: put adds
+    row_ids = rng.integers(0, 5, size=n)          # repeats allowed: take's VJP adds
 
     def wsum(shape):
         # drawn once per case, then bound as a lambda default: the builder
         # must stay a fixed function across the FD probe evaluations
         W = rng.standard_normal(shape)
         return lambda t: ad.reduce_sum(ad.mul(t, W))
+
+    def retired(shape):
+        # a case that left the list still draws its weights, so that the
+        # cases after it keep theirs
+        rng.standard_normal(shape)
+        return []
 
     WA = wsum((n, m))
     return [
@@ -145,7 +151,6 @@ def _op_cases(rng):
         ("clamp", lambda a: WA(ad.clamp(a, -0.5, 0.5)), [clampable]),
         ("sigmoid", lambda a: WA(ad.sigmoid(a)), [A]),
         ("log", lambda a: WA(ad.log(a)), [pos]),
-        ("reciprocal", lambda a: WA(ad.reciprocal(a)), [pos]),
         ("transpose", lambda a, _w=wsum((m, n)): _w(ad.transpose(a)), [A]),
         ("matmul", lambda a, b, _w=wsum((n, c)): _w(ad.matmul(a, b)), [A, Mm]),
         ("matvec", lambda a, x, _w=wsum((n,)): _w(ad.matmul(a, x)), [A, v]),
@@ -165,42 +170,35 @@ def _op_cases(rng):
         ("l1norm", lambda a: ad.reduce_sum(ad.absolute(a)), [off]),
         ("vec_max", lambda x: ad.take(x, int(np.argmax(x.data))), [vmax]),
         ("rows_max", lambda a, _w=wsum((m,)): _w(ad.rows_max(a)), [rmax]),
-        ("put_colwise",
-         lambda x, _w=wsum((n, m)): _w(ad.put(x, (col_idx, np.arange(m)), (n, m))), [v]),
+        *retired((n, m)),
         ("take_colwise",
          lambda a, _w=wsum((m,)): _w(ad.take(a, (col_idx, np.arange(m)))), [A]),
         ("softmax_cols", lambda a: WA(ad.softmax(a)), [A]),
         ("softmax_vec", lambda x, _w=wsum((m,)): _w(ad.softmax(x)), [v]),
         ("take_slice", lambda x, _w=wsum((2,)): _w(ad.take(x, slice(1, 3))), [v]),
-        ("put_slice", lambda x, _w=wsum((m + 3,)): _w(ad.put(x, slice(2, 2 + m), (m + 3,))), [v]),
+        *retired((m + 3,)),
         ("concat_axis0", lambda a, b, _w=wsum((n + m,)): _w(ad.concat([a, b])), [u, v]),
         ("concat_axis1",
          lambda a, b, _w=wsum((n, 2 * m)): _w(ad.concat([a, b], axis=1)), [A, B]),
         ("take_cols",
          lambda a, _w=wsum((n, 2)): _w(ad.take(a, (slice(None), slice(1, 3)))), [A]),
-        ("put_cols",
-         lambda a, _w=wsum((n, m + 3)): _w(ad.put(a, (slice(None), slice(1, 1 + m)), (n, m + 3))),
-         [A]),
+        *retired((n, m + 3)),
         ("stack_rows",
          lambda a, b, _w=wsum((2, m)): _w(ad.concat([ad.reshape(a, (1, m)),
                                                      ad.reshape(b, (1, m))])),
          [v, w]),
         ("take_int_row", lambda a, _w=wsum((m,)): _w(ad.take(a, 1)), [A]),
-        ("put_int_row", lambda x, _w=wsum((n, m)): _w(ad.put(x, 1, (n, m))), [v]),
+        *retired((n, m)),
         ("take_int", lambda x: ad.take(x, 2), [v]),
-        ("put_int", lambda t, _w=wsum((m,)): _w(ad.put(t, 1, (m,))), [s0]),
+        *retired((m,)),
         ("take_int_array",
          lambda a, _w=wsum((n, m)): _w(ad.take(a, row_ids)),
          [rng.standard_normal((5, m))]),
-        ("put_int_array",
-         lambda a, _w=wsum((5, m)): _w(ad.put(a, row_ids, (5, m))), [A]),
-        ("put_rows",
-         lambda a, _w=wsum((n + 3, m)): _w(ad.put(a, slice(1, 1 + n), (n + 3, m))), [A]),
+        *retired((5, m)),
+        *retired((n + 3, m)),
         ("take_rows", lambda a, _w=wsum((2, m)): _w(ad.take(a, slice(1, 3))), [A]),
-        # kept last: a new wsum draw would shift the weights of every later case
-        ("sum_to_row", lambda a, _w=wsum((m,)): _w(ad.sum_to(a, (m,))), [A]),
-        ("sum_to_col", lambda a, _w=wsum((n, 1)): _w(ad.sum_to(a, (n, 1))), [A]),
-        ("sum_to_scalar", lambda a: ad.sum_to(a, ()), [A]),
+        *retired((m,)),
+        *retired((n, 1)),
         ("reshape", lambda a, _w=wsum((m, n)): _w(ad.reshape(a, (m, n))), [A]),
     ]
 
@@ -362,8 +360,9 @@ def test_criterion_3_margin_loss():
         probe = {n: model.params[n] for n in names + (("fuse.proj",) if fusion else ())}
         try:
             # a wide margin keeps the hinge strictly active under FD probes
-            check_param_grads(lambda: augmented_bag_loss(model, aug, 0.5),
-                              probe, tol=1e-3)
+            check_param_grads(lambda: augmented_bag_loss(
+                model, aug, 0.5, model.encode_bag(base.sentences + (aug.distractor,))),
+                probe, tol=1e-3)
         except AssertionError as exc:
             failures.append(f"--ld loss FD ({kind}, fusion={fusion}): {exc}")
 

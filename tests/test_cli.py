@@ -455,6 +455,21 @@ class TestAvg:
         assert got["mean"]["n_pairs"] == 40.0
         assert "note" not in got["mean"]
 
+    def test_run_stamp_is_not_averaged(self, workspace, tmp_path):
+        runs = []
+        for seed in ("11", "12", "13"):
+            runs.append(tmp_path / f"eval{seed}")
+            assert main(["eval", "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                         "--corpus", str(workspace / "data" / "test.jsonl"),
+                         "--out", str(runs[-1]), "--seed", seed]) == EXIT_OK
+        out = tmp_path / "avg"
+        assert main(["avg", "--runs", *map(str, runs), "--out", str(out)]) == EXIT_OK
+        mean = json.loads((out / "metrics.json").read_text())["mean"]
+        assert sorted(mean) == ["auc_04", "n_pairs", "n_positive", "shuffled_auc_04"]
+        shuffled = [json.loads((run / "metrics.json").read_text())["shuffled_auc_04"]
+                    for run in runs]
+        assert mean["shuffled_auc_04"] == float(np.mean(shuffled))
+
     @pytest.mark.parametrize("text", ["5", "[1, 2]", '{"auc_04": 1.0'],
                              ids=["number", "list", "truncated"])
     def test_metrics_file_not_an_object_exits_3(self, tmp_path, capsys, text):

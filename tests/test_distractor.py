@@ -32,7 +32,7 @@ from relexpl.models import (
 from relexpl.optim import Adam
 from relexpl.training import TrainConfig, _step_loss, train_model
 
-from conftest import check_param_grads, double_backprop_gi
+from conftest import check_param_grads, engine_gi
 
 
 def sent(tokens, mi=(0, 1), mj=(2, 3), fget=(0, 1), relevance=True):
@@ -44,6 +44,11 @@ def bag(bag_id, relations, sentences, fget=(0, 1), entities=(0, 1)):
     return Bag(bag_id=bag_id, entity_i=entities[0], entity_j=entities[1],
                fget_i=fget[0], fget_j=fget[1], relations=frozenset(relations),
                sentences=tuple(sentences))
+
+
+def stack(model, aug):
+    """The (N + 1, d) encodings of the augmented bag, from one encoder call."""
+    return model.encode_bag(aug.base.sentences + (aug.distractor,))
 
 
 def model_cfg(kind="cnns-att", K=2, widths=(2,), channels=2, fusion=False):
@@ -271,11 +276,11 @@ class TestAugmentedLoss:
     def test_matches_numpy_recombination(self, kind):
         model, aug = self.fixtures(kind=kind)
         gamma = 0.01
-        got = float(augmented_bag_loss(model, aug, gamma).data)
+        got = float(augmented_bag_loss(model, aug, gamma, stack(model, aug)).data)
         fwd = model.forward_sentences(
             list(aug.base.sentences) + [aug.distractor],
             aug.base.entity_i, aug.base.entity_j)
-        gi = double_backprop_gi(fwd, aug.relation).data
+        gi = engine_gi(fwd, aug.relation)
         want = max(0.0, gamma + gi[-1] - gi[:-1].max()) + abs(gi[-1])
         assert abs(got - want) < 1e-12
 
@@ -284,7 +289,7 @@ class TestAugmentedLoss:
         model, aug = self.fixtures()
         y = label_vector(aug.base, model.cfg.n_relations)
         before = float(bce_loss(model.forward_bag(aug.base).logits, y).data)
-        augmented_bag_loss(model, aug, 0.5)
+        augmented_bag_loss(model, aug, 0.5, stack(model, aug))
         after = float(bce_loss(model.forward_bag(aug.base).logits, y).data)
         assert before == after
 
@@ -315,7 +320,7 @@ class TestSecondOrderGradients:
         # large margin keeps the hinge strictly active under FD probes
         probe = {n: model.params[n] for n in
                  ("head.rel", "head.bias", "enc.w2.filters", "enc.w2.bias")}
-        check_param_grads(lambda: augmented_bag_loss(model, aug, 0.5),
+        check_param_grads(lambda: augmented_bag_loss(model, aug, 0.5, stack(model, aug)),
                           probe, tol=1e-3)
 
     def test_training_signal_reaches_weighting_parameters(self):
@@ -326,9 +331,9 @@ class TestSecondOrderGradients:
         base = bag("base", {0}, sentences[:2])
         aug = AugmentedBag(base=base, relation=0,
                            distractor=_substitute_mentions(sentences[2], base))
-        loss = augmented_bag_loss(model, aug, 0.5)
+        loss = augmented_bag_loss(model, aug, 0.5, stack(model, aug))
         targets = [model.params["att.query"], model.params["att.diag"]]
-        grads = ad.grad(loss, targets, create_graph=False)
+        grads = ad.grad(loss, targets)
         assert any(np.abs(g.data).max() > 0 for g in grads)
 
 
@@ -396,7 +401,7 @@ class TestSharedEncodings:
         for j, aug in enumerate(augs):
             rows = ad.take(X, np.append(np.arange(n), n + j))
             shared = float(augmented_bag_loss(model, aug, 0.05, rows).data)
-            assert shared == float(augmented_bag_loss(model, aug, 0.05).data)
+            assert shared == float(augmented_bag_loss(model, aug, 0.05, stack(model, aug)).data)
             assert shared == float(_separate_encoding_loss(model, aug, 0.05).data)
 
     @pytest.mark.parametrize("kind,fusion", KINDS)
@@ -404,9 +409,8 @@ class TestSharedEncodings:
         # the same terms summed in another order: equal up to rounding
         model, base, augs = _two_relation_case(kind, fusion, seed=5)
         params = list(model.trainable_params().values())
-        shared = ad.grad(_step_loss(model, base, augs, 0.5, 1.0), params, create_graph=False)
-        separate = ad.grad(_separate_step_loss(model, base, augs, 0.5), params,
-                           create_graph=False)
+        shared = ad.grad(_step_loss(model, base, augs, 0.5, 1.0), params)
+        separate = ad.grad(_separate_step_loss(model, base, augs, 0.5), params)
         for a, b in zip(shared, separate):
             np.testing.assert_allclose(a.data, b.data, rtol=1e-12, atol=0.0)
 
@@ -448,30 +452,38 @@ class TestSharedEncodings:
 class TestFirstOrderStep:
     @pytest.mark.parametrize("kind,fusion", KINDS)
     def test_ld_epoch_runs_no_vjp_while_recording(self, monkeypatch, kind, fusion):
-        # a VJP that runs with recording on builds a gradient of a gradient;
-        # one --ld epoch, distractor terms included, must build none
-        states = []
-        topo_order = ad._topo_order
+        # a VJP that made graph nodes would record a gradient of a gradient;
+        # over one --ld epoch, distractor terms included, no node is made
+        # while grad or backward runs
+        running, made_inside, runs = [], [], []
+        node = ad._node
 
-        def spy(vjp):
-            def run(g):
-                states.append(ad._recording)
-                return vjp(g)
-            return run
+        def spy_node(data, parents, vjp, op):
+            if running:
+                made_inside.append(op)
+            return node(data, parents, vjp, op)
 
-        def spying(root):
-            order = topo_order(root)
-            for node in order:
-                if node._vjp is not None:
-                    node._vjp = spy(node._vjp)
-            return order
+        def spy(name):
+            fn = getattr(ad, name)
 
-        monkeypatch.setattr(ad, "_topo_order", spying)
+            def run(*args):
+                runs.append(name)
+                running.append(name)
+                try:
+                    return fn(*args)
+                finally:
+                    running.pop()
+            monkeypatch.setattr(ad, name, run)
+
+        monkeypatch.setattr(ad, "_node", spy_node)
+        spy("grad")
+        spy("backward")
         model, base, _ = _two_relation_case(kind, fusion, seed=2)
         negative = bag("neg", set(), [sent([5, 6, 7, 8], relevance=False)])
         train_model(model, [base, negative],
                     TrainConfig(epochs=1, lr=0.01, val_fraction=0.0, ld=True))
-        assert states and not any(states)
+        assert runs.count("backward") == 2 and runs.count("grad") == 2
+        assert made_inside == []
 
 
 class TestGraphSize:
@@ -505,8 +517,7 @@ class TestGraphSize:
         node = ad._node
 
         def counting(data, parents, vjp, op):
-            if ad._recording:
-                recorded.append(op)
+            recorded.append(op)
             return node(data, parents, vjp, op)
 
         monkeypatch.setattr(ad, "_node", counting)

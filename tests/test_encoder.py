@@ -231,7 +231,7 @@ def _bag(rng, n_sentences, max_len):
 
 
 class TestEncoderNode:
-    """encode is one first-order engine node: its VJP is plain numpy."""
+    """encode is one engine node with its own numpy forward and VJP."""
 
     def test_one_recorded_node_per_call(self, monkeypatch):
         made = []
@@ -268,15 +268,6 @@ class TestEncoderNode:
             p.data[...] = orig
             numeric = (up - down) / (2 * h)
             assert abs(np.sum(g * v) - numeric) <= 1e-6 * max(1.0, abs(numeric)), n
-
-    def test_recorded_grad_through_the_encoder_raises(self):
-        enc = make_encoder(seed=1)
-        root = ad.reduce_sum(enc.encode([([3, 9, 1], (0, 1), (2, 3))]))
-        with pytest.raises(ad.GraphError, match="encode is a first-order node"):
-            ad.grad(root, [enc.params["embed.pos_i"]], create_graph=True)
-        assert ad._recording is True
-        x = ad.Tensor(np.ones(2), requires_grad=True)
-        assert ad.mul(x, x)._parents == (x, x)
 
     def test_trainable_token_table_matches_finite_differences(self):
         """With the token table trainable its d_w columns join the input gradient."""

@@ -32,7 +32,7 @@ from relexpl.explain import (
 )
 from relexpl.models import BagForward, ModelConfig, RelationModel
 
-from conftest import double_backprop_gi, predict_k
+from conftest import engine_gi, predict_k, recorded_gi
 
 # Test ids keep the names of the classes each kind once had, so that every
 # test's history carries over to the one model class.
@@ -104,9 +104,8 @@ class TestAnalyticLinearHead:
 
 
 class TestHandBuiltGraph:
-    """The double-backprop gradient×input oracle and encoding_gradient on a
-    hand-assembled forward record simple enough that the answer reduces to
-    a dot product."""
+    """The gradient×input oracle and encoding_gradient on a hand-assembled
+    forward record simple enough that the answer reduces to a dot product."""
 
     def summed_forward(self, rows):
         # o_0 = w . (x_0 + x_1 + ...): each sentence's gradient is w itself
@@ -118,25 +117,12 @@ class TestHandBuiltGraph:
 
     def test_zero_row_gets_zero_attribution(self):
         fwd = self.summed_forward([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        np.testing.assert_allclose(double_backprop_gi(fwd, 0).data, [0.0, 2.0], atol=1e-15)
+        np.testing.assert_allclose(engine_gi(fwd, 0), [0.0, 2.0], atol=1e-15)
 
     def test_gradient_rows_equal_weight_vector(self):
         fwd = self.summed_forward([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         gX = encoding_gradient(fwd, 0)
         np.testing.assert_allclose(gX.data, [[1.0, -2.0, 3.0]] * 2, atol=1e-15)
-
-    def test_gi_vector_stays_differentiable(self):
-        # downstream losses differentiate through the attribution itself
-        X = Tensor(np.array([[1.0, 2.0, 0.5], [0.3, -1.0, 2.0]]), requires_grad=True)
-        W = Tensor(np.array([[0.7, -0.2, 0.4]]), requires_grad=True)
-        logits = ad.matmul(W, ad.reduce_sum(X, 0))
-        fwd = BagForward(X=X, alphas=None, reps=None, logits=logits,
-                         probs=np.zeros(1))
-        gi = double_backprop_gi(fwd, 0)
-        (gW,) = ad.grad(ad.reduce_sum(gi), [W])
-        # d/dW of sum_n w.x_n = sum of the rows of X
-        np.testing.assert_allclose(gW.data, X.data.sum(axis=0, keepdims=True),
-                                   atol=1e-12)
 
     def test_empty_forward_rejected(self):
         fwd = BagForward(X=None, alphas=None, reps=None,
@@ -146,9 +132,8 @@ class TestHandBuiltGraph:
 
 
 def _oracle_ld_loss(model, aug, gamma, X):
-    """The --ld loss with gradient×input from the double-backprop oracle."""
-    fwd = model.forward_encodings(X, aug.base.entity_i, aug.base.entity_j)
-    gi = double_backprop_gi(fwd, aug.relation)
+    """The --ld loss with gradient×input from the recorded oracle."""
+    gi = recorded_gi(model, X, aug.relation, aug.base.entity_i, aug.base.entity_j)
     n = X.shape[0] - 1
     return distractor_loss(ad.take(gi, slice(0, n)), ad.take(gi, n), gamma)
 
@@ -159,9 +144,12 @@ def _assert_relatively_close(got, want, tol=1e-12):
 
 
 class TestClosedFormGI:
-    """gi_vector's closed form against the double-backprop oracle on the same
-    (N + 1, d) stack: the values for every relation, and the parameter
-    gradients of the --ld loss built on each, to 1e-12 relative."""
+    """gi_vector's closed form against two oracles on the same (N + 1, d)
+    stack, to 1e-12 relative: for every relation its values against the
+    engine's gradient of the logit times the encodings (engine_gi), and the
+    parameter gradients of the --ld loss built on it against those of the
+    loss built on the same form in engine ops (recorded_gi), whose VJPs the
+    engine derives."""
 
     @staticmethod
     def case(kind, fusion, n_base, seed, relation, duplicate=False):
@@ -182,11 +170,12 @@ class TestClosedFormGI:
         ei, ej = aug.base.entity_i, aug.base.entity_j
         fwd = model.forward_encodings(X, ei, ej)
         for k in range(model.cfg.n_relations):
-            _assert_relatively_close(gi_vector(model, X, k, ei, ej).data,
-                                     double_backprop_gi(fwd, k).data)
+            gi = gi_vector(model, X, k, ei, ej).data
+            _assert_relatively_close(gi, engine_gi(fwd, k))
+            _assert_relatively_close(recorded_gi(model, X, k, ei, ej).data, gi)
         params = list(model.trainable_params().values())
-        got = ad.grad(augmented_bag_loss(model, aug, 0.5, X), params, create_graph=False)
-        want = ad.grad(_oracle_ld_loss(model, aug, 0.5, X), params, create_graph=False)
+        got = ad.grad(augmented_bag_loss(model, aug, 0.5, X), params)
+        want = ad.grad(_oracle_ld_loss(model, aug, 0.5, X), params)
         for g, w in zip(got, want):
             _assert_relatively_close(g.data, w.data)
 
@@ -194,7 +183,7 @@ class TestClosedFormGI:
            n_base=st.integers(1, 6), seed=st.integers(0, 10 ** 4),
            relation=st.sampled_from([0, 2]), duplicate=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_matches_double_backprop(self, kind, fusion, n_base, seed, relation, duplicate):
+    def test_matches_first_order_oracles(self, kind, fusion, n_base, seed, relation, duplicate):
         # duplicated rows are drawn for directsup, whose max-pool breaks their ties
         self.check(*self.case(kind, fusion, n_base, seed, relation,
                               duplicate and kind == "directsup"))
