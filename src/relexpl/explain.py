@@ -30,7 +30,12 @@ two poolings, as one engine node whose VJP is the form's derivative
 written out in numpy, so the training loss's parameter gradient is an
 ordinary backward. The test suite checks the values against
 encoding_gradient times the encodings, and the VJP against the engine's
-own VJPs of the same form written in engine ops.
+gradient of the same form written in its oracle engine's ops.
+
+Past the encoder's node, a forward records one node for cnns-att (its bag
+head) and four for directsup (the sigmoid weights' matmul, add and
+sigmoid, then the head), so the gradients saliency and gi take run few
+VJPs.
 """
 
 from __future__ import annotations
@@ -70,13 +75,15 @@ def _logit_direction(model: RelationModel, rep: np.ndarray, k: int,
     """u_k = d o_k / d rep as a recorded (d,) tensor, for the pre-fusion bag row rep.
 
     Without fusion it is head.rel[k]; with it, fuse.proj[:d] @ (m * head.rel[k]),
-    where m, the ReLU mask of rep's fused row, enters as a constant.
+    where m, the ReLU mask of rep's fused row, enters as a constant. The mask
+    comes from the bag head's numpy fusion (RelationModel._fuse), which
+    records no node.
     """
     p = model.params
     r = ad.take(p["head.rel"], k)
     if not model.cfg.fusion:
         return r
-    mask = (model._fuse(Tensor(rep[None]), entity_i, entity_j).data[0] > 0.0).astype(np.float64)
+    mask = model._fuse(rep[None], entity_i, entity_j)[2][0]
     return ad.matmul(ad.take(p["fuse.proj"], slice(0, rep.shape[0])), ad.mul(r, mask))
 
 
@@ -89,7 +96,7 @@ def gi_vector(model: RelationModel, X: Tensor, k: int, entity_i: int, entity_j: 
       cnns-att   q' = att.query[k] * att.diag, alpha = softmax(X q'),
                  GI_n = alpha_n (s_n + (s_n - alpha . s)(x_n . q'))
       directsup  alpha = sigmoid(X rel.w + rel.b), M the one-hot winner mask of
-                 the max-pool (ties to the lowest row, as ad.rows_max),
+                 the max-pool (ties to the lowest row, as the bag head's),
                  t = (X * M) u_k, GI_n = alpha_n t_n (1 + (1 - alpha_n)(x_n . rel.w))
 
     The result is one engine node over X, the weighting parameters and

@@ -1,9 +1,9 @@
 """Array kernels, in numpy, of the sentence encoder and the tensor engine.
 
 The encoder's node calls im2col and rows_max in its forward and col2im
-and scatter_add_rows in its VJP; the engine's rows_max op and the VJP
-of its take call rows_max and scatter_add_rows, and explain.gi_vector
-finds the max-pool winners with rows_max. Callers look the kernels up
+and scatter_add_rows in its VJP; the directsup bag head (models._max_pool)
+and explain.gi_vector find the max-pool winners with rows_max, and the
+VJP of the engine's take calls scatter_add_rows. Callers look the kernels up
 through this module (kernels.im2col, not an imported name), so a tool
 that replaces a module attribute sees every call.
 

@@ -1,5 +1,10 @@
 """Adam optimizer over named parameter dicts, plus checkpoint save/load.
 
+Adam keeps one flat state (see `Adam`): a step is a few numpy calls per
+block of BLOCK entries, not fourteen per parameter, and its results are
+bit for bit those of the per-parameter form, since each entry goes
+through the same operations in the same order.
+
 A checkpoint (format 3) is a pair of files: a JSON header at the given
 path, say ``run/checkpoint.json``, and a data file beside it with the
 same stem and the suffix ``.bin`` (``run/checkpoint.bin``). The data file
@@ -33,11 +38,23 @@ from .encoder import checked_array
 CHECKPOINT_FORMAT = 3
 
 
+# entries of the flat state one pass covers: a block's m, v, scratch,
+# gradient and parameter entries (125 KiB each) stay in L2 through a step.
+# The two scratch arrays stay under glibc's default 128 KiB mmap threshold,
+# so they come from the heap; at 128 KiB each was mapped on its own, and
+# unmapping them moved the allocator's thresholds so that later commands of
+# one process page-faulted more
+BLOCK = 16000
+
+
 class Adam:
     """Adam with bias correction over a dict of named parameter tensors.
 
-    Parameter order is fixed by sorted name so state updates are
-    reproducible regardless of dict construction order.
+    The state is flat: m and v hold every parameter's entries back to back
+    in sorted-name order, allocated once, beside two scratch arrays of at
+    most BLOCK entries. A step runs over that order in blocks of BLOCK
+    entries; a block may cover the tail of one parameter, several whole
+    ones and the head of another.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 0.001,
@@ -50,11 +67,24 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self._v = {name: np.zeros_like(p.data) for name, p in params.items()}
-        # per-parameter scratch, so that a step allocates no arrays
-        self._buf = {name: (np.empty_like(p.data), np.empty_like(p.data))
-                     for name, p in params.items()}
+        # each parameter's entries lie in the flat state at [start, stop), in sorted-name order
+        spans, at = [], 0
+        for name in sorted(params):
+            if not params[name].data.flags.c_contiguous:
+                raise ValueError(f"parameter {name!r} is not C-contiguous")
+            spans.append((name, at, at + params[name].data.size))
+            at += params[name].data.size
+        self._m, self._v = np.zeros(at), np.zeros(at)
+        a, b = np.empty(min(at, BLOCK)), np.empty(min(at, BLOCK))
+        # per block [lo, hi): its views of m, v, a and b, and for each parameter
+        # it overlaps, (name, the slice of the flattened parameter, its view of a)
+        self._blocks = []
+        for lo in range(0, at, BLOCK):
+            hi = min(lo + BLOCK, at)
+            parts = [(name, slice(max(lo, start) - start, min(hi, stop) - start),
+                      a[max(lo, start) - lo:min(hi, stop) - lo])
+                     for name, start, stop in spans if max(lo, start) < min(hi, stop)]
+            self._blocks.append((self._m[lo:hi], self._v[lo:hi], a[:hi - lo], b[:hi - lo], parts))
 
     def step(self, grads: dict[str, np.ndarray]):
         """Apply one update from grads, one gradient array per parameter name.
@@ -62,7 +92,12 @@ class Adam:
         The gradients are only read. The update is m <- b1 m + (1 - b1) g,
         v <- b2 v + (1 - b2) g g and
         p <- p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps),
-        computed in place with the same operations in the same order.
+        computed in place, block by block, with the same operations in the
+        same order for every entry. A block within one parameter reads its
+        gradient in place; a block over several copies their gradient
+        entries into its second scratch array, which the update then
+        reuses. A step whose gradients are missing or misshapen changes
+        nothing.
         """
         for name, p in self.params.items():  # checked before any state changes
             if name not in grads:
@@ -73,11 +108,10 @@ class Adam:
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for name in sorted(self.params):
-            g = grads[name]
-            m = self._m[name]
-            v = self._v[name]
-            a, b = self._buf[name]
+        params = self.params
+        for m, v, a, b, parts in self._blocks:
+            g = [grads[name].reshape(-1)[part] for name, part, _ in parts]
+            g = g[0] if len(g) == 1 else np.concatenate(g, out=b)
             m *= self.beta1
             np.multiply(g, 1.0 - self.beta1, out=a)
             m += a
@@ -87,11 +121,13 @@ class Adam:
             v += a
             np.divide(m, b1t, out=a)
             a *= self.lr
-            np.divide(v, b2t, out=b)
+            np.divide(v, b2t, out=b)  # g, if a copy in b, is read for the last time above
             np.sqrt(b, out=b)
             b += self.eps
             a /= b
-            self.params[name].data -= a
+            for name, part, a_part in parts:
+                view = params[name].data.reshape(-1)[part]
+                view -= a_part
 
 
 def data_path(path: str) -> str:

@@ -34,9 +34,10 @@ from relexpl.distractor import (
 from relexpl.encoder import EncoderConfig
 from relexpl.evaluation import confidence_split, kendall_tau
 from relexpl.explain import grad_input, leave_one_out, saliency
-from relexpl.models import ModelConfig, RelationModel
+from relexpl.models import ModelConfig, RelationModel, bce_loss, label_vector, relevance_loss
 
 from conftest import check_grads, check_param_grads
+import oracle_engine as oe
 
 N_TRIALS = 20
 FD_TOL = 1e-4
@@ -129,7 +130,7 @@ def _op_cases(rng):
         # drawn once per case, then bound as a lambda default: the builder
         # must stay a fixed function across the FD probe evaluations
         W = rng.standard_normal(shape)
-        return lambda t: ad.reduce_sum(ad.mul(t, W))
+        return lambda t: oe.reduce_sum(ad.mul(t, W))
 
     def retired(shape):
         # a case that left the list still draws its weights, so that the
@@ -148,44 +149,44 @@ def _op_cases(rng):
         ("cmul", lambda a: WA(ad.mul(a, B)), [A]),
         ("relu", lambda a: WA(ad.relu(a)), [off]),
         ("absolute", lambda a: WA(ad.absolute(a)), [off]),
-        ("clamp", lambda a: WA(ad.clamp(a, -0.5, 0.5)), [clampable]),
+        ("clamp", lambda a: WA(oe.clamp(a, -0.5, 0.5)), [clampable]),
         ("sigmoid", lambda a: WA(ad.sigmoid(a)), [A]),
-        ("log", lambda a: WA(ad.log(a)), [pos]),
-        ("transpose", lambda a, _w=wsum((m, n)): _w(ad.transpose(a)), [A]),
+        ("log", lambda a: WA(oe.log(a)), [pos]),
+        ("transpose", lambda a, _w=wsum((m, n)): _w(oe.transpose(a)), [A]),
         ("matmul", lambda a, b, _w=wsum((n, c)): _w(ad.matmul(a, b)), [A, Mm]),
         ("matvec", lambda a, x, _w=wsum((n,)): _w(ad.matmul(a, x)), [A, v]),
-        ("outer", lambda a, b, _w=wsum((n, m)): _w(ad.mul(ad.reshape(a, (n, 1)), b)), [u, v]),
-        ("dot", lambda a, b: ad.reduce_sum(ad.mul(a, b)), [v, w]),
+        ("outer", lambda a, b, _w=wsum((n, m)): _w(ad.mul(oe.reshape(a, (n, 1)), b)), [u, v]),
+        ("dot", lambda a, b: oe.reduce_sum(ad.mul(a, b)), [v, w]),
         ("add_row_broadcast", lambda a, x: WA(ad.add(a, x)), [A, v]),
         ("sub_row_broadcast", lambda a, x: WA(ad.sub(a, x)), [A, v]),
         ("mul_row_broadcast", lambda a, x: WA(ad.mul(a, x)), [A, v]),
-        ("mul_col_broadcast", lambda a, x: WA(ad.mul(a, ad.reshape(x, (n, 1)))), [A, u]),
+        ("mul_col_broadcast", lambda a, x: WA(ad.mul(a, oe.reshape(x, (n, 1)))), [A, u]),
         ("add_scalar_broadcast", lambda a, t: WA(ad.add(a, t)), [A, s0]),
         ("sub_scalar_broadcast", lambda a, t: WA(ad.sub(a, t)), [A, s0]),
-        ("broadcast_to_scalar", lambda t: WA(ad.broadcast_to(t, (n, m))), [s0]),
-        ("broadcast_to_row", lambda x: WA(ad.broadcast_to(x, (n, m))), [v]),
-        ("sum_all", lambda a: ad.reduce_sum(a), [A]),
-        ("sum_axis0", lambda a, _w=wsum((m,)): _w(ad.reduce_sum(a, 0)), [A]),
-        ("sum_axis1", lambda a, _w=wsum((n,)): _w(ad.reduce_sum(a, 1)), [A]),
-        ("l1norm", lambda a: ad.reduce_sum(ad.absolute(a)), [off]),
+        ("broadcast_to_scalar", lambda t: WA(oe.broadcast_to(t, (n, m))), [s0]),
+        ("broadcast_to_row", lambda x: WA(oe.broadcast_to(x, (n, m))), [v]),
+        ("sum_all", lambda a: oe.reduce_sum(a), [A]),
+        ("sum_axis0", lambda a, _w=wsum((m,)): _w(oe.reduce_sum(a, 0)), [A]),
+        ("sum_axis1", lambda a, _w=wsum((n,)): _w(oe.reduce_sum(a, 1)), [A]),
+        ("l1norm", lambda a: oe.reduce_sum(ad.absolute(a)), [off]),
         ("vec_max", lambda x: ad.take(x, int(np.argmax(x.data))), [vmax]),
-        ("rows_max", lambda a, _w=wsum((m,)): _w(ad.rows_max(a)), [rmax]),
+        ("rows_max", lambda a, _w=wsum((m,)): _w(oe.rows_max(a)), [rmax]),
         *retired((n, m)),
         ("take_colwise",
          lambda a, _w=wsum((m,)): _w(ad.take(a, (col_idx, np.arange(m)))), [A]),
-        ("softmax_cols", lambda a: WA(ad.softmax(a)), [A]),
-        ("softmax_vec", lambda x, _w=wsum((m,)): _w(ad.softmax(x)), [v]),
+        ("softmax_cols", lambda a: WA(oe.softmax(a)), [A]),
+        ("softmax_vec", lambda x, _w=wsum((m,)): _w(oe.softmax(x)), [v]),
         ("take_slice", lambda x, _w=wsum((2,)): _w(ad.take(x, slice(1, 3))), [v]),
         *retired((m + 3,)),
-        ("concat_axis0", lambda a, b, _w=wsum((n + m,)): _w(ad.concat([a, b])), [u, v]),
+        ("concat_axis0", lambda a, b, _w=wsum((n + m,)): _w(oe.concat([a, b])), [u, v]),
         ("concat_axis1",
-         lambda a, b, _w=wsum((n, 2 * m)): _w(ad.concat([a, b], axis=1)), [A, B]),
+         lambda a, b, _w=wsum((n, 2 * m)): _w(oe.concat([a, b], axis=1)), [A, B]),
         ("take_cols",
          lambda a, _w=wsum((n, 2)): _w(ad.take(a, (slice(None), slice(1, 3)))), [A]),
         *retired((n, m + 3)),
         ("stack_rows",
-         lambda a, b, _w=wsum((2, m)): _w(ad.concat([ad.reshape(a, (1, m)),
-                                                     ad.reshape(b, (1, m))])),
+         lambda a, b, _w=wsum((2, m)): _w(oe.concat([oe.reshape(a, (1, m)),
+                                                     oe.reshape(b, (1, m))])),
          [v, w]),
         ("take_int_row", lambda a, _w=wsum((m,)): _w(ad.take(a, 1)), [A]),
         *retired((n, m)),
@@ -199,7 +200,7 @@ def _op_cases(rng):
         ("take_rows", lambda a, _w=wsum((2, m)): _w(ad.take(a, slice(1, 3))), [A]),
         *retired((m,)),
         *retired((n, 1)),
-        ("reshape", lambda a, _w=wsum((m, n)): _w(ad.reshape(a, (m, n))), [A]),
+        ("reshape", lambda a, _w=wsum((m, n)): _w(oe.reshape(a, (m, n))), [A]),
     ]
 
 
@@ -240,6 +241,35 @@ def _end_to_end_grad_check(seed):
     assert err < FD_TOL, f"end-to-end gradient mismatch at seed {seed}: {err:.3e}"
 
 
+def _coarse_node_grad_check(seed):
+    """FD-check the loss's gradient w.r.t. every parameter the bag head and
+    loss nodes read, over a fixed random stack of 1-4 encodings (the tiny
+    encoder's rows are near alike, which leaves the attention gradients
+    too small for a finite difference to resolve)."""
+    kind = ("cnns-att", "directsup")[seed % 2]
+    fusion = bool((seed // 2) % 2)
+    cfg = model_cfg(kind=kind, fusion=fusion, n_entities=4 if fusion else 0)
+    model = RelationModel(cfg, seed=seed)
+    bag = make_bag(n_sent=1 + seed % 4, relations=frozenset({0, 2}), seed=seed,
+                   entities=(seed % 4, (seed + 1) % 4))
+    X = Tensor(np.random.default_rng(seed).normal(size=(len(bag.sentences), cfg.encoder.out_dim)))
+    y = label_vector(bag, cfg.n_relations)
+    relevant = [i % 2 == 0 for i in range(len(bag.sentences))]
+
+    def loss():
+        alphas, _, logits = model._bag_logits(X, bag.entity_i, bag.entity_j)
+        out = bce_loss(logits, y)
+        return ad.add(out, relevance_loss(alphas, relevant)) if kind == "directsup" else out
+
+    read = {name: p for name, p in model.trainable_params().items()
+            if not name.startswith(("enc.", "embed."))}
+    try:
+        check_param_grads(loss, read, tol=FD_TOL)
+    except AssertionError as exc:
+        raise AssertionError(f"head and loss nodes at seed {seed} ({kind}, fusion "
+                             f"{fusion}): {exc}") from None
+
+
 def test_criterion_1_gradient_integrity():
     t0 = time.perf_counter()
     failures = []
@@ -254,16 +284,18 @@ def test_criterion_1_gradient_integrity():
             except AssertionError as exc:
                 failures.append(f"{name}@seed{seed}: {exc}")
     for seed in range(N_TRIALS):
-        try:
-            _end_to_end_grad_check(seed)
-        except AssertionError as exc:
-            failures.append(str(exc))
+        for check in (_end_to_end_grad_check, _coarse_node_grad_check):
+            try:
+                check(seed)
+            except AssertionError as exc:
+                failures.append(str(exc))
     elapsed = time.perf_counter() - t0
     if elapsed >= 60.0:
         failures.append(f"runtime {elapsed:.1f}s exceeds the 60s budget")
     _verdict(1, "gradient integrity", failures,
              f"{n_ops} kernels x {N_TRIALS} seeded trials + {N_TRIALS} "
-             f"end-to-end bag-gradient trials, rel err < {FD_TOL:g}, "
+             f"end-to-end bag-gradient trials + {N_TRIALS} head-and-loss "
+             f"parameter-gradient trials, rel err < {FD_TOL:g}, "
              f"{elapsed:.1f}s")
 
 

@@ -3,6 +3,7 @@ checkpoint round trips and the loader's refusal of damaged files."""
 
 import hashlib
 import json
+import math
 import re
 import shutil
 
@@ -14,6 +15,8 @@ from relexpl import optim
 from relexpl.autodiff import Tensor
 from relexpl.cli import EXIT_INVALID, EXIT_MISSING_INPUT, EXIT_OK, main
 from relexpl.optim import Adam, load_checkpoint, restore_params, save_checkpoint
+
+import oracle_engine as oe
 
 TINY_GEN = {"n_relations": 2, "vocab_size": 30, "n_fget": 2, "n_mention_tokens": 6,
             "n_train_bags": 12, "n_test_bags": 4, "sentences_per_bag": [2, 2],
@@ -34,6 +37,57 @@ def reference_adam(x0, grads, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
         vh = v / (1 - b2 ** t)
         x = x - lr * mh / (np.sqrt(vh) + eps)
     return x
+
+
+class PerParameterAdam:
+    """The per-parameter step the flat state replaced, kept as the reference
+    the flat step must equal bit for bit: m, v and two scratch arrays per
+    parameter, the same operations in the same order."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.beta1, self.beta2, self.eps = params, lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.buf = {name: (np.empty_like(p.data), np.empty_like(p.data))
+                    for name, p in params.items()}
+
+    def step(self, grads):
+        self.t += 1
+        b1t = 1.0 - self.beta1 ** self.t
+        b2t = 1.0 - self.beta2 ** self.t
+        for name in sorted(self.params):
+            g, m, v = grads[name], self.m[name], self.v[name]
+            a, b = self.buf[name]
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
+            v *= self.beta2
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            a *= g
+            v += a
+            np.divide(m, b1t, out=a)
+            a *= self.lr
+            np.divide(v, b2t, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            self.params[name].data -= a
+
+
+# one tensor larger than a block and not a multiple of it, so that blocks
+# cover its head, its tail and whole small tensors around it; a 0-d and a
+# size-0 tensor
+FLAT_SHAPES = {"a.w": (3, 2), "b.big": (3, optim.BLOCK // 2 + 7), "c.scalar": (),
+               "d.empty": (0, 4), "e.b": (5,)}
+
+
+def _flat_case(seed):
+    rng = np.random.default_rng(seed)
+    start = {n: rng.normal(size=s) for n, s in FLAT_SHAPES.items()}
+    flat = {n: Tensor(a.copy(), requires_grad=True) for n, a in start.items()}
+    ref = {n: Tensor(a.copy(), requires_grad=True) for n, a in start.items()}
+    return rng, Adam(flat, lr=0.01), PerParameterAdam(ref, lr=0.01)
 
 
 class TestAdamUpdate:
@@ -70,6 +124,50 @@ class TestAdamUpdate:
             for n, p in params.items():
                 np.testing.assert_array_equal(p.data, ref[n])
 
+    def test_flat_step_is_bit_equal_to_per_parameter_step(self):
+        rng, opt, ref = _flat_case(5)
+        assert opt._m.size > optim.BLOCK and opt._m.size % optim.BLOCK
+        for _ in range(6):
+            grads = {n: rng.normal(size=s) for n, s in FLAT_SHAPES.items()}
+            grads["a.w"] = np.asfortranarray(grads["a.w"])  # a strided gradient reads alike
+            opt.step(grads)
+            ref.step(grads)
+            for n in FLAT_SHAPES:
+                np.testing.assert_array_equal(opt.params[n].data, ref.params[n].data)
+            np.testing.assert_array_equal(opt._m, np.concatenate(
+                [ref.m[n].reshape(-1) for n in sorted(FLAT_SHAPES)]))
+            np.testing.assert_array_equal(opt._v, np.concatenate(
+                [ref.v[n].reshape(-1) for n in sorted(FLAT_SHAPES)]))
+
+    def test_refused_step_changes_no_state(self):
+        rng, opt, _ = _flat_case(6)
+        opt.step({n: rng.normal(size=s) for n, s in FLAT_SHAPES.items()})
+        before = (opt.t, opt._m.copy(), opt._v.copy(),
+                  {n: p.data.copy() for n, p in opt.params.items()})
+        good = {n: rng.normal(size=s) for n, s in FLAT_SHAPES.items()}
+        for bad in ({n: g for n, g in good.items() if n != "e.b"},
+                    {**good, "b.big": np.ones(3)}):
+            with pytest.raises(ValueError, match="'(e.b|b.big)'"):
+                opt.step(bad)
+            assert opt.t == before[0]
+            np.testing.assert_array_equal(opt._m, before[1])
+            np.testing.assert_array_equal(opt._v, before[2])
+            for n, p in opt.params.items():
+                np.testing.assert_array_equal(p.data, before[3][n])
+
+    def test_state_is_allocated_once(self):
+        _, opt, _ = _flat_case(7)
+        full = sum(math.prod(s) for s in FLAT_SHAPES.values())
+        assert opt._m.shape == opt._v.shape == (full,)
+        m, v = opt._m, opt._v
+        opt.step({n: np.ones(s) for n, s in FLAT_SHAPES.items()})
+        assert opt._m is m and opt._v is v
+
+    def test_strided_parameter_rejected(self):
+        data = np.zeros((2, 3)).T  # the flat state's slices of it would be copies
+        with pytest.raises(ValueError, match="'w' is not C-contiguous"):
+            Adam({"w": Tensor(data, requires_grad=True)})
+
     def test_first_step_magnitude_is_lr(self):
         # with bias correction, |first update| ~ lr for any gradient scale
         p = Tensor(np.zeros(4), requires_grad=True)
@@ -100,7 +198,7 @@ class TestAdamUpdate:
         p = Tensor(np.array([5.0, -3.0]), requires_grad=True)
         opt = Adam({"w": p}, lr=0.1)
         for _ in range(500):
-            loss = ad.reduce_sum(ad.mul(p, p))
+            loss = oe.reduce_sum(ad.mul(p, p))
             (g,) = ad.backward(loss, [p])
             opt.step({"w": g})
         assert np.all(np.abs(p.data) < 1e-2)

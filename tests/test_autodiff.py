@@ -18,11 +18,12 @@ from relexpl.autodiff import GraphError, ShapeMismatchError, Tensor
 
 from conftest import check_grads, conv1d, numeric_grad, rel_err
 from test_acceptance import _op_cases
+import oracle_engine as oe
 
 
 def _squared(f):
     """t -> sum(f(t) * f(t)), applying f twice so both paths reach t."""
-    return lambda t: ad.reduce_sum(ad.mul(f(t), f(t)))
+    return lambda t: oe.reduce_sum(ad.mul(f(t), f(t)))
 
 
 class TestElementwise:
@@ -31,13 +32,13 @@ class TestElementwise:
         for _ in range(20):
             a = rng.normal(size=(4, 3))
             b = rng.normal(size=(4, 3))
-            check_grads(lambda x, y: ad.reduce_sum(ad.mul(ad.add(x, y), ad.sub(x, y))), [a, b])
+            check_grads(lambda x, y: oe.reduce_sum(ad.mul(ad.add(x, y), ad.sub(x, y))), [a, b])
 
     def test_sigmoid(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             x = rng.normal(size=7)
-            check_grads(lambda t: ad.reduce_sum(ad.sigmoid(t)), [x])
+            check_grads(lambda t: oe.reduce_sum(ad.sigmoid(t)), [x])
 
     def test_sigmoid_extreme_values_stable(self):
         y = ad.sigmoid(Tensor([-800.0, 800.0, 0.0]))
@@ -50,18 +51,18 @@ class TestElementwise:
             # keep points away from the kink, finite differences break there
             x = rng.normal(size=9)
             x[np.abs(x) < 0.05] += 0.1
-            check_grads(lambda t: ad.reduce_sum(ad.relu(t)), [x])
-            check_grads(lambda t: ad.reduce_sum(ad.absolute(t)), [x])
+            check_grads(lambda t: oe.reduce_sum(ad.relu(t)), [x])
+            check_grads(lambda t: oe.reduce_sum(ad.absolute(t)), [x])
 
     def test_log(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.uniform(0.5, 2.0, size=6)
-            check_grads(lambda t: ad.reduce_sum(ad.log(t)), [x])
+            check_grads(lambda t: oe.reduce_sum(oe.log(t)), [x])
 
     def test_clamp_gradient_mask(self):
         x = Tensor(np.array([-2.0, 0.3, 2.0]), requires_grad=True)
-        (g,) = ad.grad(ad.reduce_sum(ad.clamp(x, 0.0, 1.0)), [x])
+        (g,) = ad.grad(oe.reduce_sum(oe.clamp(x, 0.0, 1.0)), [x])
         np.testing.assert_array_equal(g.data, [0.0, 1.0, 0.0])
 
     def test_scale_cadd_cmul(self):
@@ -70,10 +71,10 @@ class TestElementwise:
         for _ in range(10):
             x = rng.normal(size=(3, 2))
             # constant operands: a python float, or an array that gets no gradient
-            check_grads(lambda t: ad.reduce_sum(ad.mul(t, 2.5)), [x])
-            check_grads(lambda t: ad.reduce_sum(ad.add(t, -1.25)), [x])
-            check_grads(lambda t: ad.reduce_sum(ad.sub(-1.25, t)), [x])
-            check_grads(lambda t: ad.reduce_sum(ad.mul(t, c)), [x])
+            check_grads(lambda t: oe.reduce_sum(ad.mul(t, 2.5)), [x])
+            check_grads(lambda t: oe.reduce_sum(ad.add(t, -1.25)), [x])
+            check_grads(lambda t: oe.reduce_sum(ad.sub(-1.25, t)), [x])
+            check_grads(lambda t: oe.reduce_sum(ad.mul(t, c)), [x])
 
 
 class TestLinAlg:
@@ -82,7 +83,7 @@ class TestLinAlg:
         for _ in range(20):
             a = rng.normal(size=(4, 3))
             b = rng.normal(size=(3, 5))
-            check_grads(lambda x, y: ad.reduce_sum(ad.matmul(x, y)), [a, b])
+            check_grads(lambda x, y: oe.reduce_sum(ad.matmul(x, y)), [a, b])
 
     def test_matvec_outer_dot(self):
         rng = np.random.default_rng(6)
@@ -90,9 +91,9 @@ class TestLinAlg:
             m = rng.normal(size=(4, 3))
             v = rng.normal(size=3)
             u = rng.normal(size=4)
-            check_grads(lambda a, b: ad.reduce_sum(ad.matmul(a, b)), [m, v])
-            check_grads(lambda a, b: ad.reduce_sum(ad.mul(ad.reshape(a, (4, 1)), b)), [u, v])
-            check_grads(lambda a, b: ad.reduce_sum(ad.mul(a, b)), [v, v + 1.0])
+            check_grads(lambda a, b: oe.reduce_sum(ad.matmul(a, b)), [m, v])
+            check_grads(lambda a, b: oe.reduce_sum(ad.mul(oe.reshape(a, (4, 1)), b)), [u, v])
+            check_grads(lambda a, b: oe.reduce_sum(ad.mul(a, b)), [v, v + 1.0])
 
     def test_constant_operands_get_no_vjp(self):
         x = Tensor(np.ones(2), requires_grad=True)
@@ -119,23 +120,23 @@ class TestBroadcast:
             v = rng.normal(size=3)
             w = rng.normal(size=4)
             s = rng.normal()
-            check_grads(lambda a, b: ad.reduce_sum(ad.add(a, b)), [m, v])
-            check_grads(lambda a, b: ad.reduce_sum(ad.mul(ad.sub(a, b), a)), [m, v])
-            check_grads(lambda a, b: ad.reduce_sum(ad.mul(ad.mul(a, b), a)), [m, v])
-            check_grads(lambda a, b: ad.reduce_sum(ad.mul(ad.mul(a, ad.reshape(b, (4, 1))), a)),
+            check_grads(lambda a, b: oe.reduce_sum(ad.add(a, b)), [m, v])
+            check_grads(lambda a, b: oe.reduce_sum(ad.mul(ad.sub(a, b), a)), [m, v])
+            check_grads(lambda a, b: oe.reduce_sum(ad.mul(ad.mul(a, b), a)), [m, v])
+            check_grads(lambda a, b: oe.reduce_sum(ad.mul(ad.mul(a, oe.reshape(b, (4, 1))), a)),
                         [m, w])
-            check_grads(lambda a, b: ad.reduce_sum(ad.mul(ad.add(a, b), a)), [m, np.asarray(s)])
-            check_grads(lambda a, b: ad.reduce_sum(ad.mul(ad.sub(a, b), a)), [m, np.asarray(s)])
+            check_grads(lambda a, b: oe.reduce_sum(ad.mul(ad.add(a, b), a)), [m, np.asarray(s)])
+            check_grads(lambda a, b: oe.reduce_sum(ad.mul(ad.sub(a, b), a)), [m, np.asarray(s)])
             # both operands broadcast: (4, 1) against (3,)
-            check_grads(lambda a, b: ad.reduce_sum(ad.mul(ad.mul(ad.reshape(a, (4, 1)), b), m)),
+            check_grads(lambda a, b: oe.reduce_sum(ad.mul(ad.mul(oe.reshape(a, (4, 1)), b), m)),
                         [w, v])
 
     def test_repeat_row_bfill(self):
         rng = np.random.default_rng(8)
         v = rng.normal(size=3)
         s = np.asarray(rng.normal())
-        check_grads(_squared(lambda t: ad.broadcast_to(t, (5, 3))), [v])
-        check_grads(_squared(lambda t: ad.broadcast_to(t, (2, 3))), [s])
+        check_grads(_squared(lambda t: oe.broadcast_to(t, (5, 3))), [v])
+        check_grads(_squared(lambda t: oe.broadcast_to(t, (2, 3))), [s])
 
 
 class TestReductionsAndMax:
@@ -143,9 +144,9 @@ class TestReductionsAndMax:
         rng = np.random.default_rng(9)
         for _ in range(20):
             m = rng.normal(size=(4, 3))
-            check_grads(lambda t: ad.reduce_sum(ad.mul(ad.reduce_sum(t, 0), np.arange(3.0))), [m])
-            check_grads(lambda t: ad.reduce_sum(ad.mul(ad.reduce_sum(t, 1), np.arange(4.0))), [m])
-            check_grads(lambda t: ad.reduce_sum(ad.mul(ad.reduce_sum(t, -1), np.arange(4.0))), [m])
+            check_grads(lambda t: oe.reduce_sum(ad.mul(oe.reduce_sum(t, 0), np.arange(3.0))), [m])
+            check_grads(lambda t: oe.reduce_sum(ad.mul(oe.reduce_sum(t, 1), np.arange(4.0))), [m])
+            check_grads(lambda t: oe.reduce_sum(ad.mul(oe.reduce_sum(t, -1), np.arange(4.0))), [m])
 
     def test_vec_max_and_rows_max(self):
         rng = np.random.default_rng(10)
@@ -153,11 +154,11 @@ class TestReductionsAndMax:
             v = rng.normal(size=7)
             m = rng.normal(size=(5, 4))
             check_grads(lambda t: ad.take(t, int(np.argmax(t.data))), [v])
-            check_grads(lambda t: ad.reduce_sum(ad.mul(ad.rows_max(t), ad.rows_max(t))), [m])
+            check_grads(lambda t: oe.reduce_sum(ad.mul(oe.rows_max(t), oe.rows_max(t))), [m])
 
     def test_rows_max_tie_goes_to_lowest_row(self):
         m = Tensor(np.array([[1.0, 5.0], [1.0, 2.0], [1.0, 5.0]]), requires_grad=True)
-        (g,) = ad.grad(ad.reduce_sum(ad.rows_max(m)), [m])
+        (g,) = ad.grad(oe.reduce_sum(oe.rows_max(m)), [m])
         np.testing.assert_array_equal(g.data, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
 
     def test_softmax_1d_and_2d(self):
@@ -167,12 +168,12 @@ class TestReductionsAndMax:
             m = rng.normal(size=(5, 3))
             w = rng.normal(size=6)
             c = rng.normal(size=(5, 3))
-            check_grads(lambda t: ad.reduce_sum(ad.mul(ad.softmax(t), w)), [v])
-            check_grads(lambda t: ad.reduce_sum(ad.mul(ad.softmax(t), Tensor(c))), [m])
+            check_grads(lambda t: oe.reduce_sum(ad.mul(oe.softmax(t), w)), [v])
+            check_grads(lambda t: oe.reduce_sum(ad.mul(oe.softmax(t), Tensor(c))), [m])
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(12)
-        m = ad.softmax(Tensor(rng.normal(size=(6, 4)) * 10.0))
+        m = oe.softmax(Tensor(rng.normal(size=(6, 4)) * 10.0))
         np.testing.assert_allclose(m.data.sum(axis=0), np.ones(4), atol=1e-12)
 
 
@@ -184,7 +185,7 @@ class TestStructure:
             u = rng.normal(size=3)
             check_grads(_squared(lambda t: ad.take(t, slice(2, 6))), [v])
             check_grads(
-                lambda a, b: ad.reduce_sum(ad.mul(ad.concat([a, b]), ad.concat([a, b]))),
+                lambda a, b: oe.reduce_sum(ad.mul(oe.concat([a, b]), oe.concat([a, b]))),
                 [v, u],
             )
 
@@ -194,8 +195,8 @@ class TestStructure:
             m = rng.normal(size=(4, 6))
             n = rng.normal(size=(4, 2))
             check_grads(
-                lambda a, b: ad.reduce_sum(ad.mul(ad.concat([a, b], axis=1),
-                                               ad.concat([a, b], axis=1))),
+                lambda a, b: oe.reduce_sum(ad.mul(oe.concat([a, b], axis=1),
+                                               oe.concat([a, b], axis=1))),
                 [m, n],
             )
             cols = (slice(None), slice(1, 4))
@@ -206,21 +207,21 @@ class TestStructure:
         rng = np.random.default_rng(15)
 
         def stack(x, y):
-            return ad.concat([ad.reshape(x, (1, 5)), ad.reshape(y, (1, 5))])
+            return oe.concat([oe.reshape(x, (1, 5)), oe.reshape(y, (1, 5))])
 
         for _ in range(10):
             a = rng.normal(size=5)
             b = rng.normal(size=5)
             m = rng.normal(size=(3, 5))
-            check_grads(lambda x, y: ad.reduce_sum(ad.mul(stack(x, y), stack(y, x))), [a, b])
-            check_grads(lambda t: ad.reduce_sum(ad.mul(ad.take(t, 1), ad.take(t, 2))), [m])
+            check_grads(lambda x, y: oe.reduce_sum(ad.mul(stack(x, y), stack(y, x))), [a, b])
+            check_grads(lambda t: oe.reduce_sum(ad.mul(ad.take(t, 1), ad.take(t, 2))), [m])
             check_grads(lambda t: ad.mul(ad.take(t, 3), ad.take(t, 0)), [a])
 
     def test_transpose(self):
         rng = np.random.default_rng(16)
         m = rng.normal(size=(3, 4))
         c = rng.normal(size=(4, 3))
-        check_grads(lambda t: ad.reduce_sum(ad.mul(ad.transpose(t), Tensor(c))), [m])
+        check_grads(lambda t: oe.reduce_sum(ad.mul(oe.transpose(t), Tensor(c))), [m])
 
 
 class TestGatherConv:
@@ -230,7 +231,7 @@ class TestGatherConv:
             table = rng.normal(size=(6, 4))
             ids = rng.integers(0, 6, size=9)
             c = rng.normal(size=(9, 4))
-            check_grads(lambda t: ad.reduce_sum(ad.mul(ad.take(t, ids), Tensor(c))), [table])
+            check_grads(lambda t: oe.reduce_sum(ad.mul(ad.take(t, ids), Tensor(c))), [table])
 
     def test_gather_rows_out_of_range(self):
         with pytest.raises(IndexError):
@@ -294,7 +295,7 @@ class TestGatherConv:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=src)
         y = rng.normal(size=dst)
-        lhs = np.sum(ad.broadcast_to(Tensor(x), dst).data * y)
+        lhs = np.sum(oe.broadcast_to(Tensor(x), dst).data * y)
         rhs = np.sum(x * ad._sum_to(y, src))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
@@ -337,7 +338,7 @@ class TestGatherConv:
             filt = rng.normal(size=(3 * 2, 3))
             bias = rng.normal(size=3)
             check_grads(
-                lambda a, w, b: ad.reduce_sum(ad.relu(conv1d(a, w, b))),
+                lambda a, w, b: oe.reduce_sum(ad.relu(conv1d(a, w, b))),
                 [x, filt, bias],
             )
 
@@ -359,7 +360,7 @@ class TestBackwardSemantics:
         # add, sub and mul give no gradient to an operand that requires none
         a = Tensor(np.array([1.0, 2.0]))
         with pytest.raises(GraphError, match="require grad"):
-            ad.grad(ad.reduce_sum(ad.mul(a, a)), [a])
+            ad.grad(oe.reduce_sum(ad.mul(a, a)), [a])
 
     def test_backward_walks_the_graph_once(self, monkeypatch):
         calls = []
@@ -380,7 +381,7 @@ class TestBackwardSemantics:
 
     def test_grad_is_functional_and_repeatable(self):
         a = Tensor(np.array([2.0, 3.0]), requires_grad=True)
-        root = ad.reduce_sum(ad.mul(a, a))
+        root = oe.reduce_sum(ad.mul(a, a))
         (g1,) = ad.grad(root, [a])
         (g2,) = ad.grad(root, [a])
         (g3,) = ad.backward(root, [a])
@@ -391,21 +392,21 @@ class TestBackwardSemantics:
     def test_grad_unused_target_returns_zeros(self):
         a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         b = Tensor(np.array([5.0]), requires_grad=True)
-        (gb,) = ad.grad(ad.reduce_sum(ad.mul(a, a)), [b])
+        (gb,) = ad.grad(oe.reduce_sum(ad.mul(a, a)), [b])
         np.testing.assert_array_equal(gb.data, [0.0])
 
     def test_grad_of_interior_node(self):
         """Gradients w.r.t. non-leaf nodes work; needed for attribution scores."""
         x = Tensor(np.array([0.5, -0.25]), requires_grad=True)
         h = ad.mul(x, x)        # interior
-        y = ad.reduce_sum(ad.mul(h, h))
+        y = oe.reduce_sum(ad.mul(h, h))
         (gh,) = ad.grad(y, [h])
         np.testing.assert_allclose(gh.data, 2.0 * (x.data ** 2), rtol=1e-12)
 
     def test_diamond_graph_accumulation(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
         a = ad.mul(x, 2.0)
-        y = ad.reduce_sum(ad.add(ad.mul(a, x), ad.mul(x, a)))  # 4 x^2
+        y = oe.reduce_sum(ad.add(ad.mul(a, x), ad.mul(x, a)))  # 4 x^2
         (g,) = ad.grad(y, [x])
         np.testing.assert_allclose(g.data, [24.0], rtol=1e-12)
 
@@ -437,9 +438,9 @@ def _pooling_case(seed):
     rng = np.random.default_rng(seed)
     X, Q, w = leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
                         for shape in ((4, 3), (3,), (3,))]
-    alphas = ad.softmax(ad.matmul(X, Q))
-    rep = ad.reduce_sum(ad.mul(X, ad.reshape(alphas, (4, 1))), 0)
-    return ad.reduce_sum(ad.mul(ad.log(ad.add(ad.sigmoid(rep), 1.0)), w)), leaves
+    alphas = oe.softmax(ad.matmul(X, Q))
+    rep = oe.reduce_sum(ad.mul(X, oe.reshape(alphas, (4, 1))), 0)
+    return oe.reduce_sum(ad.mul(oe.log(ad.add(ad.sigmoid(rep), 1.0)), w)), leaves
 
 
 class TestFirstOrder:
@@ -486,35 +487,48 @@ def test_property_linear_ops_additivity(n, d, seed):
     for f in (
         lambda m: ad._put(m, slice(1, n + 1), (n + 3, d)),
         lambda m: kernels.im2col(np.vstack([m, m]), 2, np.arange(2 * n - 1)),
-        lambda m: ad.reduce_sum(Tensor(m), 0).data,
-        lambda m: ad.transpose(Tensor(m)).data,
+        lambda m: oe.reduce_sum(Tensor(m), 0).data,
+        lambda m: oe.transpose(Tensor(m)).data,
     ):
         np.testing.assert_allclose(f(x + y), f(x) + f(y), atol=1e-10)
 
 
-def _engine_names(code) -> set[str]:
-    """The names read as ad.<name> in code and in the code nested in it."""
+def _engine_names(code, alias="ad") -> set[str]:
+    """The names read as <alias>.<name> in code and in the code nested in it."""
     names = set()
     ins = list(dis.get_instructions(code))
     for load, attr in zip(ins, ins[1:]):
-        if (load.opname == "LOAD_GLOBAL" and load.argval == "ad"
+        if (load.opname == "LOAD_GLOBAL" and load.argval == alias
                 and attr.opname in ("LOAD_ATTR", "LOAD_METHOD")):
             names.add(attr.argval)
     for const in code.co_consts:
         if inspect.iscode(const):
-            names |= _engine_names(const)
+            names |= _engine_names(const, alias)
     return names
 
 
+def _public_functions(module) -> list[str]:
+    return sorted(name for name, fn in vars(module).items()
+                  if inspect.isfunction(fn) and fn.__module__ == module.__name__
+                  and not name.startswith("_"))
+
+
+# the oracle engine's compositions of the bag head and losses, which
+# test_models checks against the coarse nodes, not op cases
+ORACLE_COMPOSITIONS = ("bag_logits", "head", "fuse", "clamped_bce", "bce_loss", "relevance_loss")
+
+
 def test_engine_surface_is_small_and_every_op_is_fd_checked():
-    public = sorted(name for name, fn in vars(ad).items()
-                    if inspect.isfunction(fn) and fn.__module__ == ad.__name__
-                    and not name.startswith("_"))
-    assert len(public) <= 20, public
-    used = set()
+    public = _public_functions(ad)
+    assert len(public) <= 12, public
+    used, used_oracle = set(), set()
     for _, build, _ in _op_cases(np.random.default_rng(0)):
         used |= _engine_names(build.__code__)
+        used_oracle |= _engine_names(build.__code__, "oe")
     # first_order runs its caller's VJP, not one of its own; TestFirstOrder covers it
     unchecked = [name for name in public
                  if name not in used and name not in ("grad", "backward", "first_order")]
     assert unchecked == [], f"no case of _op_cases uses {unchecked}"
+    unchecked = [name for name in _public_functions(oe)
+                 if name not in used_oracle and name not in ORACLE_COMPOSITIONS]
+    assert unchecked == [], f"no case of _op_cases uses the oracle op {unchecked}"

@@ -33,6 +33,7 @@ from relexpl.optim import Adam
 from relexpl.training import TrainConfig, _step_loss, train_model
 
 from conftest import check_param_grads, engine_gi
+import oracle_engine as oe
 
 
 def sent(tokens, mi=(0, 1), mj=(2, 3), fget=(0, 1), relevance=True):
@@ -360,7 +361,7 @@ class TestNoReferenceCycles:
 def _separate_encoding_loss(model, aug, gamma):
     """Reference: the distractor loss over the base bag and the distractor
     encoded in two encoder calls."""
-    X = ad.concat([model.encode_bag(aug.base.sentences), model.encode_bag([aug.distractor])])
+    X = oe.concat([model.encode_bag(aug.base.sentences), model.encode_bag([aug.distractor])])
     return augmented_bag_loss(model, aug, gamma, X)
 
 
@@ -487,19 +488,24 @@ class TestFirstOrderStep:
 
 
 class TestGraphSize:
-    """Graph nodes recorded for one tiny bag, pinned, so an engine change that
-    grows the graph shows here. Three sentences labelled {0, 2}, one
-    6-token distractor per relation."""
+    """Graph nodes recorded for one tiny bag, pinned exactly, so an engine or
+    model change that grows the graph shows here. Three sentences labelled
+    {0, 2}, one 6-token distractor per relation."""
 
     # (kind, fusion) -> nodes of the forward, of the forward and loss, and of
-    # the whole --ld step objective; each encode call is one node, and the
-    # --ld step makes one for the bag and its distractors together
+    # the whole --ld step objective. The encoder and the bag head are one node
+    # each, directsup adds its sigmoid weights' matmul, add and sigmoid, and
+    # each loss is one node; the --ld step encodes the bag and its
+    # distractors in one node, and each distractor term records 13 nodes,
+    # 16 with fusion (its logit direction's take, slice and product).
     NODES = {
-        ("cnns-att", False): (11, 22, 52),
-        ("cnns-att", True): (21, 32, 88),
-        ("directsup", False): (11, 33, 59),
-        ("directsup", True): (21, 43, 95),
+        ("cnns-att", False): (2, 3, 33),
+        ("cnns-att", True): (2, 3, 39),
+        ("directsup", False): (5, 8, 34),
+        ("directsup", True): (5, 8, 40),
     }
+    # the budget: a cnns-att forward with its BCE records at most this many
+    ATT_STEP_BUDGET = 6
 
     @pytest.mark.parametrize("kind,fusion", list(NODES))
     def test_recorded_nodes(self, monkeypatch, kind, fusion):
@@ -532,3 +538,5 @@ class TestGraphSize:
         _step_loss(model, base, augs, 1e-5, 1.0)
         counts.append(len(recorded))
         assert tuple(counts) == self.NODES[(kind, fusion)]
+        if kind == "cnns-att":
+            assert counts[1] <= self.ATT_STEP_BUDGET

@@ -11,6 +11,7 @@ from relexpl import autodiff as ad
 from relexpl.encoder import EncoderConfig, SentenceEncoder, _position_rows
 
 from conftest import check_param_grads, conv1d
+import oracle_engine as oe
 
 
 def tiny_cfg(**kw):
@@ -82,13 +83,13 @@ def reference_encoding(enc, tokens, mention_i, mention_j):
     """One sentence encoded by its definition, with conv1d and rows_max."""
     p, cfg = enc.params, enc.cfg
     n = len(tokens)
-    x = ad.concat([
+    x = oe.concat([
         ad.take(p["embed.tokens"], np.asarray(tokens, dtype=np.int64)),
         ad.take(p["embed.pos_i"], position_ids(n, mention_i, cfg.pos_clip)),
         ad.take(p["embed.pos_j"], position_ids(n, mention_j, cfg.pos_clip)),
     ], axis=1)
-    return ad.relu(ad.concat([
-        ad.rows_max(conv1d(x, p[f"enc.w{w}.filters"], p[f"enc.w{w}.bias"]))
+    return ad.relu(oe.concat([
+        oe.rows_max(conv1d(x, p[f"enc.w{w}.filters"], p[f"enc.w{w}.bias"]))
         for w in sorted(cfg.widths)]))
 
 
@@ -143,7 +144,7 @@ class TestBatchInvariance:
                  ([2, 4, 6], (1, 3), (0, 1))]
         weights = np.random.default_rng(6).normal(size=(3, enc.cfg.out_dim))
         trainable = {n: p for n, p in enc.params.items() if p.requires_grad}
-        check_param_grads(lambda: ad.reduce_sum(ad.mul(enc.encode(items), ad.Tensor(weights))),
+        check_param_grads(lambda: oe.reduce_sum(ad.mul(enc.encode(items), ad.Tensor(weights))),
                           trainable)
 
     def test_empty_bag_rejected(self):
@@ -205,14 +206,14 @@ class TestEncoderGradients:
         weights = np.random.default_rng(2).normal(size=enc.cfg.out_dim)
 
         def forward():
-            return ad.reduce_sum(ad.mul(enc.encode([(tokens, mi, mj)]), weights))
+            return oe.reduce_sum(ad.mul(enc.encode([(tokens, mi, mj)]), weights))
 
         trainable = {n: p for n, p in enc.params.items() if p.requires_grad}
         check_param_grads(forward, trainable)
 
     def test_frozen_table_untouched_by_backward(self):
         enc = make_encoder(seed=1)
-        root = ad.reduce_sum(enc.encode([([3, 9, 1], (0, 1), (2, 3))]))
+        root = oe.reduce_sum(enc.encode([([3, 9, 1], (0, 1), (2, 3))]))
         with pytest.raises(ad.GraphError):  # frozen: no gradient to take
             ad.backward(root, [enc.params["embed.tokens"]])
         g_pos, g_filters = ad.backward(root, [enc.params["embed.pos_i"],
@@ -252,7 +253,7 @@ class TestEncoderNode:
         weights = ad.Tensor(rng.normal(size=(len(items), enc.cfg.out_dim)))
 
         def loss():
-            return ad.reduce_sum(ad.mul(enc.encode(items), weights))
+            return oe.reduce_sum(ad.mul(enc.encode(items), weights))
 
         trainable = {n: p for n, p in enc.params.items() if p.requires_grad}
         assert sorted(trainable) == sorted(n for n in enc.params if n != "embed.tokens")
@@ -276,7 +277,7 @@ class TestEncoderNode:
         items = [([3, 9, 1, 12, 5], (0, 1), (4, 5)), ([31], (0, 1), (0, 1)),
                  ([2, 4, 2], (1, 3), (0, 1))]
         weights = np.random.default_rng(3).normal(size=(3, enc.cfg.out_dim))
-        check_param_grads(lambda: ad.reduce_sum(ad.mul(enc.encode(items), ad.Tensor(weights))),
+        check_param_grads(lambda: oe.reduce_sum(ad.mul(enc.encode(items), ad.Tensor(weights))),
                           enc.params)
 
     def test_max_pool_tie_goes_to_the_lowest_row_of_each_sentence(self):
@@ -285,7 +286,7 @@ class TestEncoderNode:
         p["enc.w1.filters"].data[...] = 0.0  # every row of a sentence ties at the bias
         p["enc.w1.bias"].data[...] = [1.0, 2.0]
         items = [([4, 5, 6], (1, 2), (2, 3)), ([7, 8], (0, 1), (1, 2))]
-        root = ad.reduce_sum(enc.encode(items))
+        root = oe.reduce_sum(enc.encode(items))
         (g,) = ad.backward(root, [p["enc.w1.filters"]])
         first = [np.concatenate([p["embed.tokens"].data[tokens[0]],
                                  p["embed.pos_i"].data[position_ids(1, mi, 4)[0]],

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relexpl import autodiff as ad
 from relexpl import optim
@@ -25,7 +27,8 @@ from relexpl.models import (
     relevance_loss,
 )
 
-from conftest import check_param_grads, predict_k
+from conftest import check_grads, check_param_grads, predict_k, rel_err
+import oracle_engine as oe
 
 
 def tiny_model_cfg(kind="directsup", K=3, fusion=False, n_entities=0, **enc_kw):
@@ -85,7 +88,7 @@ class TestDirectSupBagRep:
     def test_hand_elementwise_max(self):
         # weighted rows (2,0) and (2,2) -> max (2,2)
         weighted = ad.mul(Tensor([[2.0, 0.0], [4.0, 4.0]]), Tensor([[1.0], [0.5]]))
-        rep = ad.rows_max(weighted)
+        rep = oe.rows_max(weighted)
         np.testing.assert_allclose(rep.data, [2.0, 2.0], rtol=1e-12)
 
     def test_single_sentence_rep_is_weighted_encoding(self):
@@ -159,7 +162,7 @@ class TestAttention:
 
     def test_selecting_weight_selects_sentence(self):
         # alpha = (1, 0) -> rep equals the first encoding
-        rep = ad.matmul(ad.transpose(Tensor([[1.0, 2.0], [3.0, 4.0]])), Tensor([1.0, 0.0]))
+        rep = ad.matmul(oe.transpose(Tensor([[1.0, 2.0], [3.0, 4.0]])), Tensor([1.0, 0.0]))
         np.testing.assert_allclose(rep.data, [1.0, 2.0], rtol=1e-12)
 
     def test_permutation_invariance(self):
@@ -348,6 +351,127 @@ class TestEndToEndGradients:
             return loss
 
         check_param_grads(forward, model.trainable_params())
+
+
+# the coarse nodes against the oracle engine: relative error of values and VJPs
+ORACLE_RTOL = 1e-12
+KINDS = ["cnns-att", "directsup"]
+
+
+def node_case(kind, fusion, n, seed, tie=False):
+    """A model, an (n, d) encoding stack, a cotangent for the K logits and an
+    entity pair. tie copies row 0 into row 1, so that every column of
+    directsup's max-pool ties."""
+    model = build_model(tiny_model_cfg(kind=kind, fusion=fusion, n_entities=6), seed=seed)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, model.cfg.encoder.out_dim))
+    if tie:
+        X[1] = X[0]
+    w = rng.normal(size=model.cfg.n_relations)
+    return model, X, w, tuple(int(e) for e in rng.integers(0, 6, size=2))
+
+
+def head_values_and_grads(bag_logits, model, X, w, entities):
+    """([alphas, reps, logits], {name: gradient of logits . w}) for X and
+    every trainable parameter, through bag_logits(X tensor, i, j)."""
+    Xt = Tensor(X.copy(), requires_grad=True)
+    alphas, reps, logits = bag_logits(Xt, *entities)
+    params = model.trainable_params()
+    grads = ad.grad(oe.reduce_sum(ad.mul(logits, w)), [Xt, *params.values()])
+    return [alphas.data, reps.data, logits.data], dict(zip(["X", *params], (g.data for g in grads)))
+
+
+def assert_matches_oracle(got, want):
+    """Values and gradients of a coarse node and of its oracle composition agree."""
+    for name in want:
+        assert rel_err(got[name], want[name]) < ORACLE_RTOL, name
+
+
+class TestCoarseNodes:
+    """The bag head node (pooling, fusion and head) and the two loss nodes:
+    values and VJPs against the same computation op by op in the oracle
+    engine, to 1e-12 relative, and against central differences."""
+
+    @staticmethod
+    def check_head(kind, fusion, n, seed, tie=False):
+        model, X, w, entities = node_case(kind, fusion, n, seed, tie)
+        got = head_values_and_grads(model._bag_logits, model, X, w, entities)
+        want = head_values_and_grads(lambda X, i, j: oe.bag_logits(model, X, i, j),
+                                     model, X, w, entities)
+        assert_matches_oracle(dict(enumerate(got[0])), dict(enumerate(want[0])))
+        assert_matches_oracle(got[1], want[1])
+        return got
+
+    @given(kind=st.sampled_from(KINDS), fusion=st.booleans(), n=st.integers(1, 6),
+           seed=st.integers(0, 10 ** 4), tie=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_head_node_matches_oracle(self, kind, fusion, n, seed, tie):
+        self.check_head(kind, fusion, n, seed, tie and kind == "directsup" and n > 1)
+
+    @pytest.mark.parametrize("fusion", [False, True])
+    def test_directsup_max_pool_ties_go_to_the_lowest_row(self, fusion):
+        _, grads = self.check_head("directsup", fusion, 4, seed=5, tie=True)
+        # row 1 loses every column to row 0, so no gradient reaches it
+        assert np.abs(grads["X"][0]).max() > 0.0
+        np.testing.assert_array_equal(grads["X"][1], 0.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("fusion", [False, True])
+    def test_empty_selection_node_matches_oracle(self, kind, fusion):
+        model, _, w, entities = node_case(kind, fusion, 1, seed=2)
+        zero = Tensor(np.zeros((1, model.cfg.encoder.out_dim)))
+        got = model._empty_logits(*entities)
+        want = oe.head(model, zero, *entities)
+        assert rel_err(got.data, want.data) < ORACLE_RTOL
+        params = list(model.trainable_params().values())
+        for g, h in zip(ad.grad(oe.reduce_sum(ad.mul(got, w)), params),
+                        ad.grad(oe.reduce_sum(ad.mul(want, w)), params)):
+            assert rel_err(g.data, h.data) < ORACLE_RTOL
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("fusion", [False, True])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_head_node_matches_finite_differences(self, kind, fusion, n):
+        model, X, w, entities = node_case(kind, fusion, n, seed=7)
+        Xt = Tensor(X, requires_grad=True)
+        reads = {"X": Xt, **{name: p for name, p in model.trainable_params().items()
+                             if not name.startswith(("enc.", "embed."))}}
+        check_param_grads(
+            lambda: oe.reduce_sum(ad.mul(model._bag_logits(Xt, *entities)[2], w)), reads)
+
+    @staticmethod
+    def loss_case(seed, size):
+        """Logits with some saturated past the clamp, labels, relevance weights
+        with some at or past the clamp's bounds, and a loss cotangent."""
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(scale=3.0, size=size)
+        logits[rng.random(size) < 0.3] *= 40.0
+        labels = rng.random(size) < 0.5
+        alphas = rng.uniform(0.01, 0.99, size=size)
+        edges = np.array([BCE_EPS, 1.0 - BCE_EPS, 1e-14, 1.0 - 1e-14])
+        pick = rng.random(size) < 0.3
+        alphas[pick] = rng.choice(edges, size=int(pick.sum()))
+        return logits, labels, alphas, float(rng.normal())
+
+    @given(size=st.integers(1, 6), seed=st.integers(0, 10 ** 4))
+    @settings(max_examples=60, deadline=None)
+    def test_loss_nodes_match_oracle(self, size, seed):
+        logits, labels, alphas, c = self.loss_case(seed, size)
+        cases = [(bce_loss, oe.bce_loss, logits, labels.astype(float)),
+                 (relevance_loss, oe.relevance_loss, alphas, list(labels))]
+        for node, oracle, x, y in cases:
+            got, want = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+            lg, lw = node(got, y), oracle(want, y)
+            assert rel_err(lg.data, lw.data) < ORACLE_RTOL
+            (g,), (h,) = ad.grad(ad.mul(lg, c), [got]), ad.grad(ad.mul(lw, c), [want])
+            assert rel_err(g.data, h.data) < ORACLE_RTOL
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_loss_nodes_match_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        logits, labels = rng.normal(scale=3.0, size=5), rng.random(5) < 0.5
+        check_grads(lambda t: bce_loss(t, labels.astype(float)), [logits])
+        check_grads(lambda t: relevance_loss(t, list(labels)), [rng.uniform(0.05, 0.95, 5)])
 
 
 class TestSerialization:
