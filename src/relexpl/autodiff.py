@@ -9,23 +9,25 @@ gradient of a gradient is taken.
 
 The library records few nodes. first_order makes a node from a caller's
 own numpy forward and VJP: the sentence encoder, the bag head
-(models.RelationModel._head_node), the two losses and the closed-form
-gradient-x-input are one node each. The generic ops are those the
-library still composes: add, sub, mul; relu, absolute, sigmoid; matmul;
-take. The test suite keeps further ops (clamp, log, reshape, softmax,
-concat, ...) as its oracle engine, built on first_order, and checks each
-coarse node against the same computation in those ops.
+(models.RelationModel._head_node), the two losses, the closed-form
+gradient-x-input, the distractor loss and the combined objective are one
+node each. The generic ops are those the library still composes: add and
+sigmoid, matmul and take (directsup's sigmoid weights, the objective's
+sum, and the rows of an encoding stack). The test suite keeps further ops
+(sub, mul, relu, absolute, clamp, log, reshape, softmax, concat, ...) as
+its oracle engine, built on first_order, and checks each coarse node
+against the same computation in those ops.
 Gradients are functional: grad(root, wrt) returns d(root)/d(t) for each t
 in wrt as bare tensors, and backward(root, wrt) the same as plain arrays,
 the form an optimizer step reads. Neither changes a tensor.
 
 Design notes:
   * float64 everywhere; gradient checking demands the precision.
-  * add, sub and mul broadcast like numpy, and a python float or a numpy
-    array operand is a constant Tensor. Their VJPs sum the incoming
-    gradient back to each operand's shape (_sum_to, the adjoint of
-    broadcasting) and return None for an operand that does not require
-    grad: no constant gets a gradient computed.
+  * add broadcasts like numpy, and a python float or a numpy array
+    operand is a constant Tensor. Its VJP sums the incoming gradient back
+    to each operand's shape (_sum_to, the adjoint of broadcasting) and
+    returns None for an operand that does not require grad: no constant
+    gets a gradient computed.
   * matmul takes a 2-d left operand and a 2-d or 1-d right one, as numpy's
     @ does; the adjoint of a matrix-vector product's matrix is the
     broadcasting product of g as a column with the vector. VJPs transpose
@@ -151,34 +153,6 @@ def add(a, b) -> Tensor:
                  "add")
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    sa, sb = a.shape, b.shape
-    ra, rb = a.requires_grad, b.requires_grad
-    return _node(_broadcast(np.subtract, "sub", a, b), (a, b),
-                 lambda g: (_sum_to(g, sa) if ra else None,
-                            _sum_to(g, sb) * -1.0 if rb else None), "sub")
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    return _node(_broadcast(np.multiply, "mul", a, b), (a, b),
-                 lambda g: (_sum_to(g * b.data, a.shape) if a.requires_grad else None,
-                            _sum_to(g * a.data, b.shape) if b.requires_grad else None), "mul")
-
-
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    mask = (a.data > 0.0).astype(np.float64)
-    return _node(a.data * mask, (a,), lambda g: (g * mask,), "relu")
-
-
-def absolute(a) -> Tensor:
-    a = _as_tensor(a)
-    sign = np.sign(a.data)
-    return _node(np.abs(a.data), (a,), lambda g: (g * sign,), "absolute")
-
-
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     """The logistic function on an array, without overflow for large |x|:
     1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) elsewhere, so that the
@@ -279,7 +253,7 @@ def grad(root: Tensor, wrt) -> list[Tensor]:
         raise GraphError(f"grad root must be scalar, got shape {root.shape}")
     wrt = list(wrt)
     if not all(t.requires_grad for t in wrt):
-        raise GraphError("grad target does not require grad")  # add, sub, mul would skip it
+        raise GraphError("grad target does not require grad")  # add would skip it
     order = _topo_order(root)
     target_ids = {id(t) for t in wrt}
     needed: set[int] = set()  # nodes on a path to a target

@@ -16,7 +16,10 @@ logit, so the loss's parameter gradient is a second derivative of the
 logits. The engine differentiates once; for the two poolings GI has a
 closed form (explain.gi_vector), one node whose VJP is that form's
 derivative written out, so that second derivative is an ordinary
-backward.
+backward. The loss over one term's N + 1 attributions and the step's
+objective (combined_loss) are one node each too, their VJPs formed with
+the numpy calls the engine's take, sub, mul, add, relu and absolute would
+make; the test suite keeps that composition as their oracle.
 
 A training step encodes the bag and all its distractors in one encoder
 call. The classification loss reads the bag's N rows of that stack; the
@@ -128,20 +131,31 @@ def sample_distractor(bag: Bag, k: int, index: DistractorIndex,
     return _substitute_mentions(index.bags[bi].sentences[si], bag)
 
 
-def distractor_loss(gi_original: Tensor, gi_distractor: Tensor, gamma: float) -> Tensor:
-    """Margin-plus-magnitude penalty on the distractor's attribution.
+def distractor_loss(gi: Tensor, gamma: float) -> Tensor:
+    """Margin-plus-magnitude penalty on the distractor's attribution, as one node.
 
-    gi_original: (N,) attributions of the bag's own sentences (from the
-    augmented forward pass); gi_distractor: 0-d attribution of the
-    injected sentence. Differentiable end to end.
+    gi: (N + 1,) attributions of the augmented bag, the base bag's N
+    sentences first and the distractor last. The hinge compares the
+    distractor with the first of the base's largest attributions.
     """
-    if gi_original.ndim != 1 or gi_original.shape[0] == 0:
-        raise ValueError("distractor loss needs a nonempty base bag")
-    if gi_distractor.ndim != 0:
-        raise ValueError("gi_distractor must be a scalar")
-    top = ad.take(gi_original, int(np.argmax(gi_original.data)))  # ties: lowest index
-    hinge = ad.relu(ad.add(ad.sub(gi_distractor, top), float(gamma)))
-    return ad.add(hinge, ad.absolute(gi_distractor))
+    if gi.ndim != 1 or gi.shape[0] < 2:
+        raise ValueError("distractor loss needs a nonempty base bag and its distractor, "
+                         f"got attributions of shape {gi.shape}")
+    v = gi.data
+    n = v.shape[0] - 1
+    top = int(np.argmax(v[:n]))  # ties: lowest index
+    pre = (v[n] - v[top]) + float(gamma)
+    on = float(pre > 0.0)  # the hinge's ReLU mask
+    sign = np.sign(v[n])
+
+    def vjp(g):
+        g_gi = np.zeros(v.shape)
+        g_hinge = g * on
+        g_gi[top] += g_hinge * -1.0
+        g_gi[n] += g_hinge + g * sign
+        return (g_gi,)
+
+    return ad.first_order(pre * on + np.abs(v[n]), (gi,), vjp, "distractor_loss")
 
 
 def augmented_bag_loss(model: RelationModel, aug: AugmentedBag, gamma: float,
@@ -159,15 +173,14 @@ def augmented_bag_loss(model: RelationModel, aug: AugmentedBag, gamma: float,
     if X.shape[0] != n + 1:
         raise ValueError(f"stack holds {X.shape[0]} encodings, bag {base.bag_id!r} "
                          f"has {n} sentences and one distractor")
-    gi = gi_vector(model, X, aug.relation, base.entity_i, base.entity_j)
-    return distractor_loss(ad.take(gi, slice(0, n)), ad.take(gi, n), gamma)
+    return distractor_loss(gi_vector(model, X, aug.relation, base.entity_i, base.entity_j),
+                           gamma)
 
 
 def combined_loss(base_loss: Tensor, distractor_terms: Sequence[Tensor], lam: float) -> Tensor:
-    """base + lam * sum of one or more distractor terms."""
-    if lam < 0:
+    """base + lam * sum of one or more distractor terms, as one node."""
+    if not lam >= 0:
         raise ValueError(f"distractor weight must be nonnegative, got {lam}")
-    total = distractor_terms[0]
-    for t in distractor_terms[1:]:
-        total = ad.add(total, t)
-    return ad.add(base_loss, ad.mul(total, float(lam)))
+    total = sum((t.data for t in distractor_terms[1:]), distractor_terms[0].data)  # in order
+    return ad.first_order(base_loss.data + total * lam, (base_loss, *distractor_terms),
+                          lambda g: (g, *[g * lam] * len(distractor_terms)), "combined_loss")

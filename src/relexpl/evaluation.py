@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .autodiff import _sigmoid_np
 from .corpus import Bag, ExplEvalTuple
 from .models import RelationModel, label_vector
 
@@ -60,7 +61,7 @@ def score_bags(model: RelationModel, bags: Sequence[Bag]) -> list[ScoredPair]:
     pairs = []
     for bag in bags:
         labels = label_vector(bag, K)
-        probs = model.forward_bag(bag).probs
+        probs = _sigmoid_np(model.forward_bag(bag).logits.data)
         for k in range(K):
             pairs.append(ScoredPair(bag.bag_id, k, float(probs[k]), bool(labels[k])))
     return pairs
@@ -178,7 +179,7 @@ def positive_pair_probs(model: RelationModel, bags: Sequence[Bag]) -> dict[tuple
         if not bag.relations:
             continue
         label_vector(bag, model.cfg.n_relations)  # raises for a relation k >= K
-        probs = model.forward_bag(bag).probs
+        probs = _sigmoid_np(model.forward_bag(bag).logits.data)
         for k in sorted(bag.relations):
             p = float(probs[k])
             if not math.isfinite(p):

@@ -28,9 +28,13 @@ Distractor training needs gradient×input as a differentiable value, and
 the engine differentiates once. gi_vector gives it in closed form for the
 two poolings, as one engine node whose VJP is the form's derivative
 written out in numpy, so the training loss's parameter gradient is an
-ordinary backward. The test suite checks the values against
-encoding_gradient times the encodings, and the VJP against the engine's
-gradient of the same form written in its oracle engine's ops.
+ordinary backward. The node's parents are the encoding stack and the
+parameters themselves: the weighting's (att.query and att.diag, or rel.w
+and rel.b) and the logit direction's (head.rel, and fuse.proj with
+fusion), so nothing of the form is recorded op by op. The test suite
+checks the values against encoding_gradient times the encodings, and the
+VJP against the engine's gradient of the same form written in its oracle
+engine's ops.
 
 Past the encoder's node, a forward records one node for cnns-att (its bag
 head) and four for directsup (the sigmoid weights' matmul, add and
@@ -47,7 +51,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import jsonio, kernels
-from .autodiff import Tensor, _sigmoid_np
+from .autodiff import Tensor, _put, _sigmoid_np
 from .corpus import Bag
 from .models import KIND_DIRECTSUP, BagForward, RelationModel
 
@@ -71,20 +75,27 @@ def encoding_gradient(fwd: BagForward, k: int) -> Tensor:
 
 
 def _logit_direction(model: RelationModel, rep: np.ndarray, k: int,
-                     entity_i: int, entity_j: int) -> Tensor:
-    """u_k = d o_k / d rep as a recorded (d,) tensor, for the pre-fusion bag row rep.
+                     entity_i: int, entity_j: int):
+    """(u_k, its parameters, VJP): u_k = d o_k / d rep for the pre-fusion bag row rep.
 
-    Without fusion it is head.rel[k]; with it, fuse.proj[:d] @ (m * head.rel[k]),
-    where m, the ReLU mask of rep's fused row, enters as a constant. The mask
-    comes from the bag head's numpy fusion (RelationModel._fuse), which
-    records no node.
+    Without fusion u_k is head.rel[k]; with it, fuse.proj[:d] @ (m * head.rel[k]),
+    where m, the ReLU mask of rep's fused row (RelationModel._fuse), is a
+    constant. The VJP maps u_k's gradient to head.rel's (and fuse.proj's),
+    formed as the engine's take, mul and matmul would form them.
     """
     p = model.params
-    r = ad.take(p["head.rel"], k)
+    rel = p["head.rel"]
+    r = rel.data[k]
     if not model.cfg.fusion:
-        return r
+        return r, (rel,), lambda g: (_put(g, k, rel.shape),)
+    proj = p["fuse.proj"]
+    d = rep.shape[0]
+    top = proj.data[:d]
     mask = model._fuse(rep[None], entity_i, entity_j)[2][0]
-    return ad.matmul(ad.take(p["fuse.proj"], slice(0, rep.shape[0])), ad.mul(r, mask))
+    rm = r * mask
+    return top @ rm, (rel, proj), lambda g: (
+        _put((np.ascontiguousarray(top.T) @ g) * mask, k, rel.shape),
+        _put(g.reshape((d, 1)) * rm, slice(0, d), proj.shape))
 
 
 def gi_vector(model: RelationModel, X: Tensor, k: int, entity_i: int, entity_j: int) -> Tensor:
@@ -93,17 +104,18 @@ def gi_vector(model: RelationModel, X: Tensor, k: int, entity_i: int, entity_j: 
     Its values are those of encoding_gradient(...) times X, row by row, on a
     forward over X. With s = X u_k (see `_logit_direction`):
 
-      cnns-att   q' = att.query[k] * att.diag, alpha = softmax(X q'),
-                 GI_n = alpha_n (s_n + (s_n - alpha . s)(x_n . q'))
+      cnns-att   q = att.query[k] * att.diag, alpha = softmax(X q),
+                 GI_n = alpha_n (s_n + (s_n - alpha . s)(x_n . q))
       directsup  alpha = sigmoid(X rel.w + rel.b), M the one-hot winner mask of
                  the max-pool (ties to the lowest row, as the bag head's),
                  t = (X * M) u_k, GI_n = alpha_n t_n (1 + (1 - alpha_n)(x_n . rel.w))
 
-    The result is one engine node over X, the weighting parameters and
-    u_k, whose VJP is the derivative of these formulas in numpy; the
-    max-pool winners and the fusion mask are constants to it, as they are
-    to the engine's own gradients. The --ld loss's parameter gradient is
-    thus an ordinary backward.
+    The result is one engine node over X, the weighting parameters
+    (att.query and att.diag, or rel.w and rel.b) and u_k's parameters
+    (head.rel, and fuse.proj with fusion), whose VJP is the derivative of
+    these formulas in numpy; the max-pool winners and the fusion mask are
+    constants to it, as they are to the engine's own gradients. The --ld
+    loss's parameter gradient is thus an ordinary backward.
     """
     model._check_k(k)
     p = model.params
@@ -115,25 +127,26 @@ def gi_vector(model: RelationModel, X: Tensor, k: int, entity_i: int, entity_j: 
         rep, winners = kernels.rows_max(x * a.reshape(-1, 1))
         mask = np.zeros(x.shape)
         mask[winners, np.arange(x.shape[1])] = 1.0
-        u = _logit_direction(model, rep, k, entity_i, entity_j)
+        u, u_params, u_vjp = _logit_direction(model, rep, k, entity_i, entity_j)
         xm = x * mask
-        t = xm @ u.data
+        t = xm @ u
         h = 1.0 + (1.0 - a) * xw
 
         def ds_vjp(g):
             g_pre = g * t * (h - a * xw) * a * (1.0 - a)  # through alpha's sigmoid
             g_xw = g_pre + g * a * t * (1.0 - a)
             g_t = g * a * h
-            return (np.outer(g_xw, w.data) + mask * np.outer(g_t, u.data),
-                    x.T @ g_xw, g_pre.sum(), xm.T @ g_t)
+            return (np.outer(g_xw, w.data) + mask * np.outer(g_t, u),
+                    x.T @ g_xw, g_pre.sum(), *u_vjp(xm.T @ g_t))
 
-        return ad.first_order(a * t * h, (X, w, b, u), ds_vjp, "gi_vector")
-    q = ad.mul(ad.take(p["att.query"], k), p["att.diag"])
-    z = x @ q.data
+        return ad.first_order(a * t * h, (X, w, b, *u_params), ds_vjp, "gi_vector")
+    query, diag = p["att.query"], p["att.diag"]
+    q = query.data[k] * diag.data
+    z = x @ q
     e = np.exp(z - z.max())
     a = e / e.sum()
-    u = _logit_direction(model, a @ x, k, entity_i, entity_j)
-    s = x @ u.data
+    u, u_params, u_vjp = _logit_direction(model, a @ x, k, entity_i, entity_j)
+    s = x @ u
     c = s - a @ s
 
     def att_vjp(g):
@@ -141,9 +154,11 @@ def gi_vector(model: RelationModel, X: Tensor, k: int, entity_i: int, entity_j: 
         g_a = g * (s + c * z) + g_mean * s
         g_s = g * a * (1.0 + z) + g_mean * a
         g_z = g * a * c + a * (g_a - a @ g_a)  # through the softmax
-        return np.outer(g_z, q.data) + np.outer(g_s, u.data), x.T @ g_z, x.T @ g_s
+        g_q = x.T @ g_z
+        return (np.outer(g_z, q) + np.outer(g_s, u), _put(g_q * diag.data, k, query.shape),
+                g_q * query.data[k], *u_vjp(x.T @ g_s))
 
-    return ad.first_order(a * (s + c * z), (X, q, u), att_vjp, "gi_vector")
+    return ad.first_order(a * (s + c * z), (X, query, diag, *u_params), att_vjp, "gi_vector")
 
 
 def _shared_forward(model: RelationModel, bag: Bag, k: int,

@@ -98,16 +98,15 @@ class BagForward:
     through; (N, K) attention columns otherwise, a bare tensor); reps the
     pre-fusion bag rows as a bare tensor ((1, d) for the relevance
     classifier, whose one row serves every relation; (K, d) otherwise);
-    logits the (K,) tensor of o_k, the bag head's node; probs its sigmoid
-    as a plain array. memo holds what explanations derive from this
-    forward, so that each is computed once per bag (see explain).
+    logits the (K,) tensor of o_k, the bag head's node. memo holds what
+    explanations derive from this forward, so that each is computed once
+    per bag (see explain).
     """
 
     X: Tensor | None
     alphas: Tensor | None
     reps: Tensor | None
     logits: Tensor
-    probs: np.ndarray
     memo: dict = field(default_factory=dict, repr=False)
 
 
@@ -284,9 +283,8 @@ class RelationModel:
     def forward_sentences(self, sentences: Sequence[Sentence],
                           entity_i: int, entity_j: int) -> BagForward:
         if not sentences:
-            logits = self._empty_logits(entity_i, entity_j)
-            return BagForward(X=None, alphas=None, reps=None, logits=logits,
-                              probs=_sigmoid_np(logits.data))
+            return BagForward(X=None, alphas=None, reps=None,
+                              logits=self._empty_logits(entity_i, entity_j))
         return self.forward_encodings(self.encode_bag(sentences), entity_i, entity_j)
 
     def forward_encodings(self, X: Tensor, entity_i: int, entity_j: int) -> BagForward:
@@ -296,8 +294,7 @@ class RelationModel:
         one call and runs this on the bag's rows of that stack.
         """
         alphas, reps, logits = self._bag_logits(X, entity_i, entity_j)
-        return BagForward(X=X, alphas=alphas, reps=reps, logits=logits,
-                          probs=_sigmoid_np(logits.data))
+        return BagForward(X=X, alphas=alphas, reps=reps, logits=logits)
 
     def forward_bag(self, bag: Bag, include: Sequence[int] | None = None) -> BagForward:
         if include is None:

@@ -59,7 +59,7 @@ class Adam:
 
     def __init__(self, params: dict[str, Tensor], lr: float = 0.001,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if lr <= 0.0:
+        if not lr > 0.0:
             raise ValueError(f"lr must be positive, got {lr}")
         self.params = params
         self.lr = lr

@@ -48,10 +48,12 @@ class TrainConfig:
             raise ValueError("epochs must be nonnegative")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
-        if self.lam < 0:
-            raise ValueError("distractor weight must be nonnegative")
-        if self.gamma < 0:
-            raise ValueError("margin must be nonnegative")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValueError(f"lam, the distractor weight, must be finite and >= 0, got {self.lam}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"gamma, the margin, must be finite and >= 0, got {self.gamma}")
         if not 0.0 < self.neg_keep <= 1.0:
             raise ValueError("neg_keep must be in (0, 1]")
 

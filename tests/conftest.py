@@ -8,8 +8,8 @@ import numpy as np
 
 from relexpl import autodiff as ad
 from relexpl import kernels
-from relexpl.autodiff import Tensor, grad
-from relexpl.explain import _logit_direction, encoding_gradient
+from relexpl.autodiff import Tensor, _sigmoid_np, grad
+from relexpl.explain import encoding_gradient
 from relexpl.models import KIND_DIRECTSUP
 
 import oracle_engine as oe
@@ -112,7 +112,7 @@ def conv1d(x, filters, bias=None):
 def predict_k(model, bag, k):
     """(probability, logit) of relation k for the bag, from one fresh forward pass."""
     fwd = model.forward_bag(bag)
-    return float(fwd.probs[k]), float(fwd.logits.data[k])
+    return float(_sigmoid_np(fwd.logits.data)[k]), float(fwd.logits.data[k])
 
 
 def engine_gi(fwd, k):
@@ -126,7 +126,9 @@ def recorded_gi(model, X, k, entity_i, entity_j):
 
     Its values are gi_vector's, and its gradient is the one the engine
     derives from its ops, so it is an oracle for gi_vector's hand-written
-    VJP. The max-pool winners and the fusion mask are constants here too.
+    VJP. Its logit direction is the oracle engine's recorded one
+    (oracle_engine.logit_direction), over take, mul and matmul. The
+    max-pool winners and the fusion mask are constants here too.
     """
     p = model.params
     x = X.data
@@ -136,14 +138,14 @@ def recorded_gi(model, X, k, entity_i, entity_j):
         rep, winners = kernels.rows_max(x * a.data.reshape(-1, 1))
         mask = np.zeros(x.shape)
         mask[winners, np.arange(x.shape[1])] = 1.0
-        u = _logit_direction(model, rep, k, entity_i, entity_j)
-        t = ad.matmul(ad.mul(X, mask), u)
-        h = ad.add(ad.mul(ad.sub(1.0, a), xw), 1.0)
-        return ad.mul(ad.mul(a, t), h)
-    q = ad.mul(ad.take(p["att.query"], k), p["att.diag"])
+        u = oe.logit_direction(model, rep, k, entity_i, entity_j)
+        t = ad.matmul(oe.mul(X, mask), u)
+        h = ad.add(oe.mul(oe.sub(1.0, a), xw), 1.0)
+        return oe.mul(oe.mul(a, t), h)
+    q = oe.mul(ad.take(p["att.query"], k), p["att.diag"])
     z = ad.matmul(X, q)
     a = oe.softmax(z)
-    u = _logit_direction(model, a.data @ x, k, entity_i, entity_j)
+    u = oe.logit_direction(model, a.data @ x, k, entity_i, entity_j)
     s = ad.matmul(X, u)
-    c = ad.sub(s, oe.reduce_sum(ad.mul(a, s)))
-    return ad.mul(a, ad.add(s, ad.mul(c, z)))
+    c = oe.sub(s, oe.reduce_sum(oe.mul(a, s)))
+    return oe.mul(a, ad.add(s, oe.mul(c, z)))

@@ -191,14 +191,15 @@ class TestAdamUpdate:
         assert opt.t == 0 and np.all(p.data == 1.0)  # a refused step changes nothing
 
     def test_bad_lr_raises(self):
-        with pytest.raises(ValueError, match="lr"):
-            Adam({}, lr=0.0)
+        for lr in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="lr"):
+                Adam({}, lr=lr)
 
     def test_descends_on_quadratic(self):
         p = Tensor(np.array([5.0, -3.0]), requires_grad=True)
         opt = Adam({"w": p}, lr=0.1)
         for _ in range(500):
-            loss = oe.reduce_sum(ad.mul(p, p))
+            loss = oe.reduce_sum(oe.mul(p, p))
             (g,) = ad.backward(loss, [p])
             opt.step({"w": g})
         assert np.all(np.abs(p.data) < 1e-2)

@@ -205,6 +205,22 @@ class TestNonFinite:
         err = capsys.readouterr().err
         assert "training loss is nan in epoch 0 at bag '" in err
 
+    @pytest.mark.parametrize("option,value", [
+        ("lr", "nan"), ("lr", "inf"), ("lr", "0"),
+        ("lam", "nan"), ("lam", "inf"), ("lam", "-1"),
+        ("gamma", "nan"), ("gamma", "inf"), ("gamma", "-1"),
+    ])
+    def test_non_finite_or_out_of_range_option_exits_3_naming_it(self, workspace, tmp_path,
+                                                                 capsys, option, value):
+        # --ld --lam nan once trained without distractors and exited 0, and
+        # nan or inf elsewhere was blamed on diverged parameters
+        out = tmp_path / "run"
+        assert main(["train", "--corpus", str(workspace / "data" / "train.jsonl"),
+                     "--out", str(out), "--epochs", "1", "--ld", f"--{option}", value,
+                     *SMALL_ENCODER]) == EXIT_INVALID
+        assert not out.exists()
+        assert f"invalid input: {option}" in capsys.readouterr().err
+
     def test_eval_of_nan_probabilities_exits_3(self, workspace, tmp_path, capsys):
         # finite parameters whose attention scores overflow: inf - inf in softmax
         model, extra = load_model(str(workspace / "run" / "checkpoint.json"))

@@ -69,8 +69,7 @@ class TestLossHandValues:
     GAMMA = 1e-5
 
     def loss(self, originals, distractor, gamma=GAMMA):
-        return float(distractor_loss(Tensor(np.array(originals)),
-                                     Tensor(np.float64(distractor)), gamma).data)
+        return float(distractor_loss(Tensor(np.append(originals, distractor)), gamma).data)
 
     def test_well_separated_distractor_costs_nothing(self):
         # hinge max(0, 1e-5 + 0 - 1) = 0, magnitude |0| = 0
@@ -86,12 +85,13 @@ class TestLossHandValues:
             assert abs(self.loss(originals, m) - (self.GAMMA + abs(m))) < 1e-9
 
     def test_empty_base_bag_rejected(self):
+        # the distractor's attribution alone
         with pytest.raises(ValueError, match="nonempty"):
-            distractor_loss(Tensor(np.zeros(0)), Tensor(np.float64(0.0)), 1e-5)
+            distractor_loss(Tensor(np.zeros(1)), 1e-5)
 
-    def test_vector_distractor_rejected(self):
-        with pytest.raises(ValueError, match="scalar"):
-            distractor_loss(Tensor(np.ones(2)), Tensor(np.ones(2)), 1e-5)
+    def test_matrix_of_attributions_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+            distractor_loss(Tensor(np.ones((2, 2))), 1e-5)
 
 
 class TestCombinedLoss:
@@ -113,6 +113,62 @@ class TestCombinedLoss:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             combined_loss(Tensor(np.float64(1.0)), [], -0.5)
+
+
+class TestLossNodes:
+    """distractor_loss and combined_loss, one node each, against the same
+    computation in oracle-engine ops (take, sub, add, relu, absolute, mul):
+    values and gradients equal bit for bit, which is within any tolerance.
+    The gradient enters scaled by -1.3, so a VJP that ignored it would show."""
+
+    SCALE = -1.3
+
+    @staticmethod
+    def grads(loss, wrt):
+        return [g.data for g in ad.grad(oe.mul(loss, TestLossNodes.SCALE), wrt)]
+
+    def check_distractor_loss(self, values, gamma):
+        gi = Tensor(np.asarray(values, dtype=np.float64), requires_grad=True)
+        got, want = distractor_loss(gi, gamma), oe.distractor_loss(gi, gamma)
+        assert float(got.data) == float(want.data)
+        (g,), (w,) = self.grads(got, [gi]), self.grads(want, [gi])
+        np.testing.assert_array_equal(g, w)
+        return float(got.data), g
+
+    def test_hinge_exactly_at_zero(self):
+        # (0.5 - 0.75) + 0.25 is exactly 0: the ReLU passes no gradient
+        value, g = self.check_distractor_loss([0.75, 0.2, 0.5], 0.25)
+        assert value == 0.5
+        np.testing.assert_array_equal(g, [0.0, 0.0, self.SCALE])
+
+    @pytest.mark.parametrize("gamma", [1e-5, 0.5])
+    def test_distractor_attribution_zero(self, gamma):
+        # |GI_d| passes no gradient at 0; the hinge is off at 1e-5 and on at 0.5
+        value, g = self.check_distractor_loss([0.3, -0.1, 0.0], gamma)
+        on = gamma > 0.3
+        assert value == ((0.0 - 0.3) + gamma if on else 0.0)
+        np.testing.assert_array_equal(g, [-self.SCALE * on, 0.0, self.SCALE * on])
+
+    def test_argmax_tie_goes_to_the_lowest_index(self):
+        _, g = self.check_distractor_loss([0.4, 0.7, 0.7, 0.9], 1e-5)
+        np.testing.assert_array_equal(g, [0.0, -self.SCALE, 0.0, 2 * self.SCALE])
+
+    def test_random_bags(self):
+        rng = np.random.default_rng(8)
+        for n in range(1, 7):
+            for _ in range(10):
+                self.check_distractor_loss(rng.normal(size=n + 1), float(rng.uniform(0, 1)))
+
+    @pytest.mark.parametrize("n_terms", [1, 2, 3])
+    @pytest.mark.parametrize("lam", [1.0, 0.37])
+    def test_combined_loss(self, n_terms, lam):
+        rng = np.random.default_rng(n_terms)
+        base = Tensor(np.float64(rng.normal()), requires_grad=True)
+        terms = [Tensor(np.float64(rng.uniform()), requires_grad=True) for _ in range(n_terms)]
+        got, want = combined_loss(base, terms, lam), oe.combined_loss(base, terms, lam)
+        assert float(got.data) == float(want.data)
+        for g, w in zip(self.grads(got, [base, *terms]), self.grads(want, [base, *terms])):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestIndex:
@@ -496,16 +552,19 @@ class TestGraphSize:
     # the whole --ld step objective. The encoder and the bag head are one node
     # each, directsup adds its sigmoid weights' matmul, add and sigmoid, and
     # each loss is one node; the --ld step encodes the bag and its
-    # distractors in one node, and each distractor term records 13 nodes,
-    # 16 with fusion (its logit direction's take, slice and product).
+    # distractors in one node and takes the bag's rows, each distractor
+    # term records 3 nodes (its rows' take, gi_vector and distractor_loss),
+    # fusion on or off, and combined_loss adds the terms in one more.
     NODES = {
-        ("cnns-att", False): (2, 3, 33),
-        ("cnns-att", True): (2, 3, 39),
-        ("directsup", False): (5, 8, 34),
-        ("directsup", True): (5, 8, 40),
+        ("cnns-att", False): (2, 3, 11),
+        ("cnns-att", True): (2, 3, 11),
+        ("directsup", False): (5, 8, 16),
+        ("directsup", True): (5, 8, 16),
     }
-    # the budget: a cnns-att forward with its BCE records at most this many
+    # the budgets: a cnns-att forward with its BCE records at most this
+    # many, and so does each distractor term, its rows' take included
     ATT_STEP_BUDGET = 6
+    TERM_BUDGET = 3
 
     @pytest.mark.parametrize("kind,fusion", list(NODES))
     def test_recorded_nodes(self, monkeypatch, kind, fusion):
@@ -540,3 +599,8 @@ class TestGraphSize:
         assert tuple(counts) == self.NODES[(kind, fusion)]
         if kind == "cnns-att":
             assert counts[1] <= self.ATT_STEP_BUDGET
+        X = model.encode_bag(base.sentences + tuple(aug.distractor for aug in augs))
+        for j, aug in enumerate(augs):
+            recorded.clear()
+            augmented_bag_loss(model, aug, 1e-5, ad.take(X, np.append(np.arange(3), 3 + j)))
+            assert len(recorded) <= self.TERM_BUDGET, recorded

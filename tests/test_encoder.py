@@ -88,7 +88,7 @@ def reference_encoding(enc, tokens, mention_i, mention_j):
         ad.take(p["embed.pos_i"], position_ids(n, mention_i, cfg.pos_clip)),
         ad.take(p["embed.pos_j"], position_ids(n, mention_j, cfg.pos_clip)),
     ], axis=1)
-    return ad.relu(oe.concat([
+    return oe.relu(oe.concat([
         oe.rows_max(conv1d(x, p[f"enc.w{w}.filters"], p[f"enc.w{w}.bias"]))
         for w in sorted(cfg.widths)]))
 
@@ -144,7 +144,7 @@ class TestBatchInvariance:
                  ([2, 4, 6], (1, 3), (0, 1))]
         weights = np.random.default_rng(6).normal(size=(3, enc.cfg.out_dim))
         trainable = {n: p for n, p in enc.params.items() if p.requires_grad}
-        check_param_grads(lambda: oe.reduce_sum(ad.mul(enc.encode(items), ad.Tensor(weights))),
+        check_param_grads(lambda: oe.reduce_sum(oe.mul(enc.encode(items), ad.Tensor(weights))),
                           trainable)
 
     def test_empty_bag_rejected(self):
@@ -206,7 +206,7 @@ class TestEncoderGradients:
         weights = np.random.default_rng(2).normal(size=enc.cfg.out_dim)
 
         def forward():
-            return oe.reduce_sum(ad.mul(enc.encode([(tokens, mi, mj)]), weights))
+            return oe.reduce_sum(oe.mul(enc.encode([(tokens, mi, mj)]), weights))
 
         trainable = {n: p for n, p in enc.params.items() if p.requires_grad}
         check_param_grads(forward, trainable)
@@ -253,7 +253,7 @@ class TestEncoderNode:
         weights = ad.Tensor(rng.normal(size=(len(items), enc.cfg.out_dim)))
 
         def loss():
-            return oe.reduce_sum(ad.mul(enc.encode(items), weights))
+            return oe.reduce_sum(oe.mul(enc.encode(items), weights))
 
         trainable = {n: p for n, p in enc.params.items() if p.requires_grad}
         assert sorted(trainable) == sorted(n for n in enc.params if n != "embed.tokens")
@@ -277,7 +277,7 @@ class TestEncoderNode:
         items = [([3, 9, 1, 12, 5], (0, 1), (4, 5)), ([31], (0, 1), (0, 1)),
                  ([2, 4, 2], (1, 3), (0, 1))]
         weights = np.random.default_rng(3).normal(size=(3, enc.cfg.out_dim))
-        check_param_grads(lambda: oe.reduce_sum(ad.mul(enc.encode(items), ad.Tensor(weights))),
+        check_param_grads(lambda: oe.reduce_sum(oe.mul(enc.encode(items), ad.Tensor(weights))),
                           enc.params)
 
     def test_max_pool_tie_goes_to_the_lowest_row_of_each_sentence(self):

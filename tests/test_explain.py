@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from relexpl import autodiff as ad
 from relexpl.autodiff import Tensor
 from relexpl.corpus import Bag, ReprMode, Sentence
-from relexpl.distractor import AugmentedBag, augmented_bag_loss, distractor_loss
+from relexpl.distractor import AugmentedBag, augmented_bag_loss
 from relexpl.encoder import EncoderConfig, SentenceEncoder
 from relexpl.explain import (
     METHODS,
@@ -113,8 +113,7 @@ class TestHandBuiltGraph:
         X = Tensor(np.array(rows, dtype=np.float64), requires_grad=True)
         W = Tensor(np.array([[1.0, -2.0, 3.0]]))
         logits = ad.matmul(W, oe.reduce_sum(X, 0))
-        return BagForward(X=X, alphas=None, reps=None, logits=logits,
-                          probs=np.zeros(1))
+        return BagForward(X=X, alphas=None, reps=None, logits=logits)
 
     def test_zero_row_gets_zero_attribution(self):
         fwd = self.summed_forward([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
@@ -126,17 +125,15 @@ class TestHandBuiltGraph:
         np.testing.assert_allclose(gX.data, [[1.0, -2.0, 3.0]] * 2, atol=1e-15)
 
     def test_empty_forward_rejected(self):
-        fwd = BagForward(X=None, alphas=None, reps=None,
-                         logits=Tensor(np.zeros(1)), probs=np.zeros(1))
+        fwd = BagForward(X=None, alphas=None, reps=None, logits=Tensor(np.zeros(1)))
         with pytest.raises(ValueError):
             encoding_gradient(fwd, 0)
 
 
 def _oracle_ld_loss(model, aug, gamma, X):
-    """The --ld loss with gradient×input from the recorded oracle."""
+    """The --ld loss in oracle-engine ops, on gradient×input from the recorded oracle."""
     gi = recorded_gi(model, X, aug.relation, aug.base.entity_i, aug.base.entity_j)
-    n = X.shape[0] - 1
-    return distractor_loss(ad.take(gi, slice(0, n)), ad.take(gi, n), gamma)
+    return oe.distractor_loss(gi, gamma)
 
 
 def _assert_relatively_close(got, want, tol=1e-12):
@@ -147,10 +144,13 @@ def _assert_relatively_close(got, want, tol=1e-12):
 class TestClosedFormGI:
     """gi_vector's closed form against two oracles on the same (N + 1, d)
     stack, to 1e-12 relative: for every relation its values against the
-    engine's gradient of the logit times the encodings (engine_gi), and the
+    engine's gradient of the logit times the encodings (engine_gi); for
+    every relation the gradients of a random weighting of its rows, w.r.t.
+    the stack and every parameter (head.rel, fuse.proj, att.query,
+    att.diag, rel.w, rel.b among them), against those of the same form in
+    oracle-engine ops (recorded_gi), whose VJPs the engine derives; and the
     parameter gradients of the --ld loss built on it against those of the
-    loss built on the same form in engine ops (recorded_gi), whose VJPs the
-    engine derives."""
+    loss built in oracle-engine ops."""
 
     @staticmethod
     def case(kind, fusion, n_base, seed, relation, duplicate=False):
@@ -170,11 +170,16 @@ class TestClosedFormGI:
     def check(model, aug, X):
         ei, ej = aug.base.entity_i, aug.base.entity_j
         fwd = model.forward_encodings(X, ei, ej)
-        for k in range(model.cfg.n_relations):
-            gi = gi_vector(model, X, k, ei, ej).data
-            _assert_relatively_close(gi, engine_gi(fwd, k))
-            _assert_relatively_close(recorded_gi(model, X, k, ei, ej).data, gi)
         params = list(model.trainable_params().values())
+        for k in range(model.cfg.n_relations):
+            gi = gi_vector(model, X, k, ei, ej)
+            want = recorded_gi(model, X, k, ei, ej)
+            _assert_relatively_close(gi.data, engine_gi(fwd, k))
+            _assert_relatively_close(want.data, gi.data)
+            w = np.random.default_rng(k).standard_normal(X.shape[0])
+            for g, h in zip(ad.grad(oe.reduce_sum(oe.mul(gi, w)), [X, *params]),
+                            ad.grad(oe.reduce_sum(oe.mul(want, w)), [X, *params])):
+                _assert_relatively_close(g.data, h.data)
         got = ad.grad(augmented_bag_loss(model, aug, 0.5, X), params)
         want = ad.grad(_oracle_ld_loss(model, aug, 0.5, X), params)
         for g, w in zip(got, want):

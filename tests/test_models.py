@@ -87,7 +87,7 @@ class TestRelevanceWeights:
 class TestDirectSupBagRep:
     def test_hand_elementwise_max(self):
         # weighted rows (2,0) and (2,2) -> max (2,2)
-        weighted = ad.mul(Tensor([[2.0, 0.0], [4.0, 4.0]]), Tensor([[1.0], [0.5]]))
+        weighted = oe.mul(Tensor([[2.0, 0.0], [4.0, 4.0]]), Tensor([[1.0], [0.5]]))
         rep = oe.rows_max(weighted)
         np.testing.assert_allclose(rep.data, [2.0, 2.0], rtol=1e-12)
 
@@ -377,7 +377,7 @@ def head_values_and_grads(bag_logits, model, X, w, entities):
     Xt = Tensor(X.copy(), requires_grad=True)
     alphas, reps, logits = bag_logits(Xt, *entities)
     params = model.trainable_params()
-    grads = ad.grad(oe.reduce_sum(ad.mul(logits, w)), [Xt, *params.values()])
+    grads = ad.grad(oe.reduce_sum(oe.mul(logits, w)), [Xt, *params.values()])
     return [alphas.data, reps.data, logits.data], dict(zip(["X", *params], (g.data for g in grads)))
 
 
@@ -424,8 +424,8 @@ class TestCoarseNodes:
         want = oe.head(model, zero, *entities)
         assert rel_err(got.data, want.data) < ORACLE_RTOL
         params = list(model.trainable_params().values())
-        for g, h in zip(ad.grad(oe.reduce_sum(ad.mul(got, w)), params),
-                        ad.grad(oe.reduce_sum(ad.mul(want, w)), params)):
+        for g, h in zip(ad.grad(oe.reduce_sum(oe.mul(got, w)), params),
+                        ad.grad(oe.reduce_sum(oe.mul(want, w)), params)):
             assert rel_err(g.data, h.data) < ORACLE_RTOL
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -437,7 +437,7 @@ class TestCoarseNodes:
         reads = {"X": Xt, **{name: p for name, p in model.trainable_params().items()
                              if not name.startswith(("enc.", "embed."))}}
         check_param_grads(
-            lambda: oe.reduce_sum(ad.mul(model._bag_logits(Xt, *entities)[2], w)), reads)
+            lambda: oe.reduce_sum(oe.mul(model._bag_logits(Xt, *entities)[2], w)), reads)
 
     @staticmethod
     def loss_case(seed, size):
@@ -463,7 +463,7 @@ class TestCoarseNodes:
             got, want = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
             lg, lw = node(got, y), oracle(want, y)
             assert rel_err(lg.data, lw.data) < ORACLE_RTOL
-            (g,), (h,) = ad.grad(ad.mul(lg, c), [got]), ad.grad(ad.mul(lw, c), [want])
+            (g,), (h,) = ad.grad(oe.mul(lg, c), [got]), ad.grad(oe.mul(lw, c), [want])
             assert rel_err(g.data, h.data) < ORACLE_RTOL
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
